@@ -60,6 +60,7 @@ from .oracle import (
     VerifyGrid,
     build_entangler_system,
     build_measurement_system,
+    full_model_deviation,
     hamiltonian_defect,
     integrate_moments,
     verify_closed_forms,
@@ -105,6 +106,7 @@ __all__ = [
     "fig1_spec",
     "fig2_spec",
     "fmin_curve",
+    "full_model_deviation",
     "hamiltonian_defect",
     "integrate_moments",
     "is_entangled",

@@ -24,10 +24,7 @@ from .dynamics import (
     UnstableRegimeError,
     occupation_from_temperature,
     prepare,
-    relative_mode_frequency,
-    thermal_covariance,
 )
-from .gaussian import direct_sum, vacuum
 from .metrology import (
     SIGNAL_CONSISTENT,
     SIGNAL_VARIANTS,
@@ -43,8 +40,7 @@ from .metrology import (
 )
 from .oracle import (
     IntegrationDivergedError,
-    build_entangler_system,
-    integrate_moments,
+    full_model_deviation,
     verify_closed_forms,
 )
 
@@ -320,29 +316,6 @@ def _write_gnuplot(path: str, csv_path: str, spec: sweep_mod.SweepSpec) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _full_model_deviation(p: ProbeParams, step: float | None) -> tuple[float, float]:
-    """Relative probe-covariance deviation of the full cavity model.
-
-    Propagates the six-dimensional model (cavity kept) from the thermal
-    initial state to the switch-off time and compares the probe block
-    against the adiabatic closed form.  Returns (deviation, delta).
-    """
-    if p.delta is None:
-        p = replace(p, delta=100.0 * p.omega)
-    system = build_entangler_system(p, adiabatic=False)
-    theta = relative_mode_frequency(p)
-    t_star = math.pi / (2.0 * theta)
-    if step is None:
-        step = (2.0 * math.pi / abs(p.delta)) / 300.0
-    c0 = direct_sum(thermal_covariance(p.n_th), vacuum(1))
-    _, c = integrate_moments(system, None, c0, 0.0, t_star, step)
-    target = prepare(p).covariance.matrix
-    dev = float(
-        abs(c.matrix[:4, :4] - target).max() / max(1.0, abs(target).max())
-    )
-    return dev, p.delta
-
-
 def cmd_entangle(cfg: RunConfig) -> int:
     p = _probe_params(cfg)
     out = prepare(p)
@@ -359,7 +332,7 @@ def cmd_entangle(cfg: RunConfig) -> int:
     print(f"squeeze margin          = {_g(rep.squeeze_margin)}")
     print(f"entangled               = {'yes' if rep.entangled else 'no'}")
     if cfg.full_model:
-        dev, delta = _full_model_deviation(p, cfg.step)
+        dev, delta = full_model_deviation(p, cfg.step)
         print(
             f"full-model deviation    = {dev:.3e} "
             f"(relative, delta/omega = {_g(delta / p.omega)})"

@@ -8,13 +8,18 @@ integrates the moments with a fixed-step classical Runge-Kutta scheme,
 and checks the closed-form transfer matrix, switch-off covariance, and
 readout signal/noise against the integrated values.
 
+One RK4 step of v' = A v is the matrix polynomial P(hA), so n steps are
+P(hA)^n, computed by repeated squaring (``propagator``).  The drive is an
+extra column of the drift, and the covariance is X C0 X^T for the
+propagator X (C. Van Loan, IEEE TAC 23:395, 1978).
+
 The integration route shares no trigonometry with the closed forms; a
 step-halving (h vs h/2) guard must pass before any comparison counts.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,6 +27,7 @@ from .dynamics import (
     ProbeParams,
     coupling_strength,
     entangled_covariance,
+    prepare,
     relative_mode_frequency,
     rotate,
     thermal_covariance,
@@ -38,6 +44,7 @@ from .metrology import (
 )
 
 __all__ = [
+    "MAX_STEPS",
     "IntegrationDivergedError",
     "LinearSystem",
     "VerifyGrid",
@@ -47,7 +54,9 @@ __all__ = [
     "build_measurement_system",
     "symplectic_form",
     "hamiltonian_defect",
+    "propagator",
     "integrate_moments",
+    "full_model_deviation",
     "verify_closed_forms",
 ]
 
@@ -83,6 +92,11 @@ class LinearSystem:
     @property
     def dim(self) -> int:
         return self.drift.shape[0]
+
+    def augmented(self, force: float) -> np.ndarray:
+        """The drift with ``drive * force`` as an extra column: v' = A v + b f, f' = 0."""
+        column = (self.drive * force)[:, None]
+        return np.block([[self.drift, column], [np.zeros((1, self.dim + 1))]])
 
 
 def build_entangler_system(p: ProbeParams, adiabatic: bool = True) -> LinearSystem:
@@ -128,7 +142,6 @@ def build_measurement_system(
     m: MeterParams,
     force: float = 1.0,
     omega: float = 1.0,
-    meter_detunings: tuple[float, float] = (0.0, 0.0),
 ) -> LinearSystem:
     """Drift and drive of the readout stage, ordering (q1,p1,q2,p2,X1,Y1,X2,Y2).
 
@@ -136,25 +149,17 @@ def build_measurement_system(
     g*gamma (opposite signs for the two probes) while the static meter
     amplitude X_j pushes back on the probe momentum at rate 2*g*gamma.
     The force enters the two momenta with weight +/- sqrt(2)*omega, so
-    that the summed meter phase accumulates it.  Nonzero meter
-    detunings rotate (X_j, Y_j) and are provided for exploration only;
-    the closed forms in metrology assume they vanish.
+    that the summed meter phase accumulates it.
     """
     if omega <= 0:
         raise ValueError(f"omega must be positive, got {omega}")
     gg = m.kappa * omega  # composite g*gamma
-    d1, d2 = meter_detunings
     a = np.zeros((8, 8))
-    for j, (qi, pi, xi, yi, sign) in enumerate(
-        [(0, 1, 4, 5, +1.0), (2, 3, 6, 7, -1.0)]
-    ):
+    for qi, pi, xi, yi, sign in [(0, 1, 4, 5, +1.0), (2, 3, 6, 7, -1.0)]:
         a[qi, pi] = omega
         a[pi, qi] = -omega
         a[pi, xi] = sign * 2.0 * gg
         a[yi, qi] = sign * gg
-        delta = (d1, d2)[j]
-        a[xi, yi] = -delta
-        a[yi, xi] = delta
     b = np.zeros(8)
     b[1] = math.sqrt(2.0) * omega * force
     b[3] = -math.sqrt(2.0) * omega * force
@@ -191,40 +196,55 @@ def _default_step(a: np.ndarray) -> float:
     return (2.0 * math.pi / fast) / 1e4
 
 
-def _rk4_moments(a, b, mean, cov, n, h):
-    for _ in range(n):
-        k1m = a @ mean + b
-        t = a @ cov
-        k1c = t + t.T
-        m2 = mean + 0.5 * h * k1m
-        c2 = cov + 0.5 * h * k1c
-        k2m = a @ m2 + b
-        t = a @ c2
-        k2c = t + t.T
-        m3 = mean + 0.5 * h * k2m
-        c3 = cov + 0.5 * h * k2c
-        k3m = a @ m3 + b
-        t = a @ c3
-        k3c = t + t.T
-        m4 = mean + h * k3m
-        c4 = cov + h * k3c
-        k4m = a @ m4 + b
-        t = a @ c4
-        k4c = t + t.T
-        mean = mean + (h / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-        cov = cov + (h / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
-    return mean, 0.5 * (cov + cov.T)
+MAX_STEPS = 2**40  # per interval: a finer step is an input error, not hours of work
 
 
-def _rk4_matrix(a, x, n, h):
-    # advances dX/dt = a @ X; with X(0) = I this is the propagator
-    for _ in range(n):
-        k1 = a @ x
-        k2 = a @ (x + 0.5 * h * k1)
-        k3 = a @ (x + 0.5 * h * k2)
-        k4 = a @ (x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return x
+def _check_step(step: float) -> None:
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and positive, got {step!r}")
+
+
+def _rk4_power(z: np.ndarray, n: int) -> np.ndarray:
+    """P(z)^n in O(log n) products; P(hA) = 1 + hA + ... + (hA)^4/24 is one RK4 step.
+
+    Powers are carried as E = P^k - 1, (1 + E)(1 + F) = 1 + E + F + EF, so
+    a small step's increment is not rounded away against the identity.
+    """
+    eye = np.eye(z.shape[0])
+    base = z @ (eye + z @ (eye + z @ (eye + z / 4.0) / 3.0) / 2.0)
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else result + base + result @ base
+        n >>= 1
+        if not n:
+            return eye + result
+        base = 2.0 * base + base @ base
+
+
+def propagator(a, times, step: float) -> list[np.ndarray]:
+    """Fixed-step RK4 propagators of v' = a @ v at nondecreasing ``times``.
+
+    Each interval between consecutive times (from 0) is split into
+    n = ceil(dt / step) <= MAX_STEPS equal steps.
+    """
+    _check_step(step)
+    a = np.asarray(a, dtype=float)
+    x = np.eye(a.shape[0])
+    out = []
+    prev = 0.0
+    for t in times:
+        dt = t - prev
+        if not dt >= 0:  # also catches nan
+            raise ValueError(f"times must be nondecreasing, got {t!r} after {prev!r}")
+        if dt > 0:
+            if dt / step > MAX_STEPS:
+                raise ValueError(f"step {step!r} needs over {MAX_STEPS} RK4 steps for t={dt:g}")
+            n = math.ceil(dt / step)
+            x = _rk4_power((dt / n) * a, n) @ x
+        out.append(x)
+        prev = t
+    return out
 
 
 def integrate_moments(
@@ -242,10 +262,10 @@ def integrate_moments(
     steps per period of the fastest drift oscillation; the actual step
     divides t_final exactly.
     """
-    if t_final < 0:
-        raise ValueError(f"t_final must be nonnegative, got {t_final}")
-    if step is not None and step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not (math.isfinite(t_final) and t_final >= 0):
+        raise ValueError(f"t_final must be finite and nonnegative, got {t_final}")
+    if step is not None:
+        _check_step(step)
     if mean0 is None:
         mean = np.zeros(system.dim)
     elif isinstance(mean0, QuadratureVector):
@@ -260,14 +280,15 @@ def integrate_moments(
     if t_final > 0:
         if step is None:
             step = _default_step(system.drift)
-        n = max(1, math.ceil(t_final / step))
-        h = t_final / n
+        d = system.dim
         # overflow here is not an error condition: it is how divergence
         # presents, and the finite check below turns it into a typed error
         with np.errstate(over="ignore", invalid="ignore"):
-            mean, cov = _rk4_moments(
-                system.drift, system.drive * force, mean, cov, n, h
-            )
+            x = propagator(system.augmented(force), (t_final,), step)[0]
+            prop = x[:d, :d]
+            mean = prop @ mean + x[:d, d]
+            cov = prop @ cov @ prop.T
+            cov = 0.5 * (cov + cov.T)
     if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
         raise IntegrationDivergedError(
             f"integration diverged for {system.label or 'system'} at t={t_final}"
@@ -275,26 +296,25 @@ def integrate_moments(
     return QuadratureVector(mean), CovarianceMatrix(cov)
 
 
-def _propagator(a: np.ndarray, t_final: float, step: float) -> np.ndarray:
-    n = max(1, math.ceil(t_final / step))
-    return _rk4_matrix(a, np.eye(a.shape[0]), n, t_final / n)
+def full_model_deviation(p: ProbeParams, step: float | None = None) -> tuple[float, float]:
+    """Relative probe-covariance deviation of the full cavity model.
 
-
-def _propagator_snapshots(a: np.ndarray, times, step: float) -> list[np.ndarray]:
-    """Propagators at an increasing sequence of times, one integration pass."""
-    x = np.eye(a.shape[0])
-    out = []
-    prev = 0.0
-    for t in times:
-        dt = t - prev
-        if dt < 0:
-            raise ValueError("times must be nondecreasing")
-        if dt > 0:
-            n = max(1, math.ceil(dt / step))
-            x = _rk4_matrix(a, x, n, dt / n)
-        out.append(x.copy())
-        prev = t
-    return out
+    Propagates the six-dimensional model (cavity kept; delta defaults to
+    100 omega, the step to 1/300 of its period) from the thermal state to
+    the switch-off time and compares the probe block against the
+    adiabatic closed form.  Returns (deviation, delta).
+    """
+    if p.delta is None:
+        p = replace(p, delta=100.0 * p.omega)
+    system = build_entangler_system(p, adiabatic=False)
+    t_star = math.pi / (2.0 * relative_mode_frequency(p))
+    if step is None:
+        step = (2.0 * math.pi / abs(p.delta)) / 300.0
+    c0 = direct_sum(thermal_covariance(p.n_th), vacuum(1))
+    _, c = integrate_moments(system, None, c0, 0.0, t_star, step)
+    target = prepare(p).covariance.matrix
+    dev = float(abs(c.matrix[:4, :4] - target).max() / max(1.0, abs(target).max()))
+    return dev, p.delta
 
 
 # -- closed-form verification -------------------------------------------------
@@ -326,6 +346,8 @@ class CheckResult:
     informational: bool = False
     failures: tuple[str, ...] = ()
     samples: tuple[tuple[str, float], ...] = ()
+    # largest step-halving (h vs h/2) difference; fails above tolerance/10
+    guard_margin: float = 0.0
 
     def summary(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -356,6 +378,7 @@ class _Tracker:
         self.points = 0
         self.max_err = 0.0
         self.worst = ""
+        self.guard_margin = 0.0
         self.failures: list[str] = []
 
     def add(self, err: float, case: str) -> None:
@@ -368,6 +391,7 @@ class _Tracker:
 
     def guard(self, diff: float, case: str) -> None:
         # step-halving robustness: h vs h/2 must agree well below tolerance
+        self.guard_margin = max(self.guard_margin, diff)
         if diff > self.tolerance / 10.0:
             self.failures.append(f"{case}: step robustness {diff:.3e}")
 
@@ -379,6 +403,7 @@ class _Tracker:
             worst_case=self.worst,
             passed=not self.failures,
             failures=tuple(self.failures),
+            guard_margin=self.guard_margin,
         )
 
 
@@ -396,8 +421,8 @@ def _check_transfer(grid: VerifyGrid, tolerance: float) -> CheckResult:
         step = (2.0 * math.pi / theta) / 2048.0
         for t in grid.transfer_times:
             case = f"ratio={ratio:g} t={t:g}"
-            m_h = _propagator(system.drift, t, step)
-            m_fine = _propagator(system.drift, t, step / 2.0)
+            m_h = propagator(system.drift, (t,), step)[0]
+            m_fine = propagator(system.drift, (t,), step / 2.0)[0]
             tracker.guard(_rel(m_h, m_fine), case)
             tracker.add(_rel(m_fine, transfer_matrix(p, t)), case)
     return tracker.result("entangler-transfer")
@@ -436,11 +461,9 @@ def _check_readout(
         system = build_measurement_system(
             MeterParams(kappa=kappa, tau_scaled=taus[0]), force=1.0
         )
-        aug = np.zeros((9, 9))
-        aug[:8, :8] = system.drift
-        aug[:8, 8] = system.drive
-        snaps = _propagator_snapshots(aug, taus, step)
-        snaps_fine = _propagator_snapshots(aug, taus, step / 2.0)
+        aug = system.augmented(1.0)
+        snaps = propagator(aug, taus, step)
+        snaps_fine = propagator(aug, taus, step / 2.0)
         for tau, x_h, x_fine in zip(taus, snaps, snaps_fine):
             case = f"kappa={kappa:g} tau_scaled={tau:.6g}"
             tracker.guard(_rel(x_h, x_fine), case)
@@ -491,6 +514,7 @@ def _check_readout(
                 informational=True,
                 failures=tuple(mismatched),
                 samples=tuple(printed_samples),
+                guard_margin=tracker.guard_margin,
             )
         )
     return results

@@ -62,6 +62,21 @@ def test_entangle_full_model_converges():
     assert deviation < 0.02
 
 
+def test_entangle_full_model_large_detuning():
+    proc = run_cli("entangle", "--r", "2", "--full-model", "--delta", "1e7")
+    assert proc.returncode == 0, proc.stderr
+    line = next(l for l in proc.stdout.splitlines() if "full-model deviation" in l)
+    assert float(line.split("=")[1].split("(")[0]) < 1e-6
+
+
+@pytest.mark.parametrize("step", ["1e-320", "nan"])
+def test_entangle_full_model_rejects_bad_step(step):
+    proc = run_cli("entangle", "--r", "2", "--full-model", f"--step={step}")
+    assert proc.returncode == 2
+    assert "config error: step" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_fmin_frozen_point():
     proc = run_cli(
         "fmin", "--tau-scaled", repr(PI / 2), "--r", "10", "--n-th", "20"

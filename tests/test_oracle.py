@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinprobe.dynamics import (
     ProbeParams,
@@ -21,6 +23,7 @@ from twinprobe.oracle import (
     build_measurement_system,
     hamiltonian_defect,
     integrate_moments,
+    propagator,
     verify_closed_forms,
 )
 
@@ -183,3 +186,94 @@ def test_verify_unattainable_tolerance_fails():
     assert readout.failures
     lines = report.summary_lines()
     assert any("FAIL" in line for line in lines)
+
+
+def rk4_steps(a, n, h):
+    """Reference: n classical RK4 steps of dX/dt = a @ X from X = I, one at a time."""
+    x = np.eye(a.shape[0])
+    for _ in range(n):
+        k1 = a @ x
+        k2 = a @ (x + 0.5 * h * k1)
+        k3 = a @ (x + 0.5 * h * k2)
+        k4 = a @ (x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x
+
+
+@pytest.mark.parametrize("drive", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000])
+def test_propagator_matches_stepwise_rk4(n, drive):
+    rng = np.random.default_rng(1000 * n + drive)
+    drift = rng.normal(size=(4, 4))
+    system = LinearSystem(drift, rng.normal(size=4) if drive else np.zeros(4))
+    a = system.augmented(1.0) if drive else system.drift
+    t = 1.3
+    # a step a hair above t/n keeps ceil(t/step) at exactly n
+    x = propagator(a, (t,), (t / n) * (1.0 + 1e-12))[0]
+    want = rk4_steps(a, n, t / n)
+    assert np.max(np.abs(x - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_propagator_snapshots_compose_intervals():
+    a = build_entangler_system(ProbeParams.from_squeeze_ratio(1.0, 2.0)).drift
+    xs = propagator(a, (0.0, 0.4, 0.4, 1.0), 0.01)
+    assert np.array_equal(xs[0], np.eye(4))
+    assert np.array_equal(xs[1], xs[2])
+    want = rk4_steps(a, 60, 0.01) @ rk4_steps(a, 40, 0.01)
+    assert np.max(np.abs(xs[3] - want)) < 1e-12
+    with pytest.raises(ValueError, match="nondecreasing"):
+        propagator(a, (1.0, 0.5), 0.01)
+
+
+@pytest.mark.parametrize("step", [math.nan, math.inf, -1.0, 0.0, 1e-320])
+def test_step_must_be_finite_positive_and_bounded(step):
+    sys0 = build_entangler_system(ProbeParams(omega=1.0))
+    with pytest.raises(ValueError, match="step"):
+        integrate_moments(sys0, None, vacuum(2), 0.0, 1.0, step=step)
+    with pytest.raises(ValueError, match="step"):
+        propagator(sys0.drift, (1.0,), step)
+
+
+def test_guard_margin_recorded_per_check():
+    tolerances = {
+        "entangler-transfer": 1e-8,
+        "switch-off-covariance": 1e-8,
+        "readout-moments": 1e-6,
+    }
+    report = verify_closed_forms()
+    assert [c.name for c in report.checks] == list(tolerances)
+    for check in report.checks:
+        assert 0.0 < check.guard_margin <= tolerances[check.name] / 10.0, check.name
+        assert "guard" not in check.summary()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ratio=st.floats(1.0, 10.0),
+    n_th=st.floats(0.0, 20.0),
+    kappa=st.floats(0.05, 5.0),
+    tau=st.floats(0.05, 2.0 * PI),
+)
+def test_oracle_matches_closed_forms_everywhere(ratio, n_th, kappa, tau):
+    def rel(got, want):
+        return np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
+
+    p = ProbeParams.from_squeeze_ratio(1.0, ratio, n_th=n_th)
+    system = build_entangler_system(p)
+    columns = [
+        integrate_moments(system, e, vacuum(2), 0.0, tau)[0].values for e in np.eye(4)
+    ]
+    assert rel(np.column_stack(columns), transfer_matrix(p, tau)) <= 1e-8
+
+    t_star = PI / (2.0 * relative_mode_frequency(p))
+    _, cov = integrate_moments(system, None, thermal_covariance(n_th), 0.0, t_star)
+    assert rel(cov.matrix, entangled_covariance(ratio, n_th).matrix) <= 1e-8
+
+    phi = phi_opt(tau)
+    m = MeterParams(kappa=kappa, tau_scaled=tau, phi=phi)
+    c0 = direct_sum(rotate(entangled_covariance(ratio, n_th), phi), vacuum(2))
+    mean, cov = integrate_moments(build_measurement_system(m), None, c0, 1.0, tau)
+    w = np.zeros(8)
+    w[5] = w[7] = 1.0
+    assert w @ mean.values == pytest.approx(signal_coeff(m), rel=1e-8)
+    assert cov.quadratic_form(w) == pytest.approx(noise(m, ratio, n_th), rel=1e-8)
