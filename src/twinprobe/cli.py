@@ -1,10 +1,15 @@
 """Command line front end.
 
+Every setting is declared once, as a field of RunConfig whose metadata
+holds its parser and help text.  The field name is the config key, the
+upper-cased name after ``TWINPROBE_`` the environment variable, and the
+name with dashes for underscores the ``--`` flag.
+
 Configuration is layered: built-in defaults, then a flat ``key = value``
 config file (``--config`` flag or the TWINPROBE_CONFIG variable), then
 ``TWINPROBE_<KEY>`` environment variables, then command line flags.
 Later layers win.  Unknown config keys and unknown TWINPROBE_* variables
-are rejected rather than ignored.
+are rejected rather than ignored, and so is a setting that is not finite.
 
 Exit codes: 0 success, 2 configuration error, 3 physics domain error
 (unstable regime, vanishing signal, diverged integration), 4 closed-form
@@ -16,7 +21,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from . import sweep as sweep_mod
 from .dynamics import (
@@ -58,38 +63,6 @@ class ConfigError(ValueError):
     """Invalid or contradictory configuration input."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Merged configuration seen by every subcommand."""
-
-    omega: float = 1.0
-    coupling_chi: float | None = None
-    g_opt: float | None = None
-    beta_abs: float | None = None
-    delta: float | None = None
-    r: float | None = None
-    temperature: float | None = None
-    hbar_over_kb: float = 1.0
-    n_th: float = 20.0
-    gamma_mech: float = 0.0
-    kappa: float = 1.0
-    tau_scaled: float = math.pi / 2.0
-    phi: str = "opt"
-    signal_variant: str = SIGNAL_CONSISTENT
-    r_list: str = "1,2,10"
-    points: int = 512
-    axis_lo: float | None = None
-    axis_hi: float | None = None
-    include_sql: bool = True
-    out: str | None = None
-    tolerance: float = 1e-6
-    include_printed_signal: bool = False
-    full_model: bool = False
-    jobs: int = 1
-    step: float | None = None
-    gnuplot: str | None = None
-
-
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
@@ -103,34 +76,54 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-_PARSERS = {
-    "omega": float,
-    "coupling_chi": float,
-    "g_opt": float,
-    "beta_abs": float,
-    "delta": float,
-    "r": float,
-    "temperature": float,
-    "hbar_over_kb": float,
-    "n_th": float,
-    "gamma_mech": float,
-    "kappa": float,
-    "tau_scaled": float,
-    "phi": str,
-    "signal_variant": str,
-    "r_list": str,
-    "points": int,
-    "axis_lo": float,
-    "axis_hi": float,
-    "include_sql": _parse_bool,
-    "out": str,
-    "tolerance": float,
-    "include_printed_signal": _parse_bool,
-    "full_model": _parse_bool,
-    "jobs": int,
-    "step": float,
-    "gnuplot": str,
-}
+def _setting(default, parse, help: str):
+    """A RunConfig field with the parser of its text form and its help line."""
+    return field(default=default, metadata={"parse": parse, "help": help})
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Merged configuration seen by every subcommand, one field per setting."""
+
+    omega: float = _setting(1.0, float, "mechanical frequency (sets the time unit)")
+    coupling_chi: float | None = _setting(
+        None, float, "composite coupling of the eliminated cavity"
+    )
+    g_opt: float | None = _setting(None, float, "single-photon optomechanical coupling")
+    beta_abs: float | None = _setting(None, float, "cavity amplitude magnitude")
+    delta: float | None = _setting(None, float, "cavity detuning")
+    r: float | None = _setting(None, float, "squeeze ratio of the entangler")
+    temperature: float | None = _setting(None, float, "bath temperature (overrides --n-th)")
+    hbar_over_kb: float = _setting(1.0, float, "unit factor for the temperature conversion")
+    n_th: float = _setting(20.0, float, "thermal occupation of each probe")
+    gamma_mech: float = _setting(0.0, float, "mechanical damping rate")
+    kappa: float = _setting(1.0, float, "readout coupling g*gamma in units of omega")
+    tau_scaled: float = _setting(math.pi / 2.0, float, "readout duration in units of 1/omega")
+    phi: str = _setting("opt", str, "interference phase in radians, or 'opt'")
+    signal_variant: str = _setting(
+        SIGNAL_CONSISTENT, str, "force transfer convention: consistent or printed"
+    )
+    r_list: str = _setting("1,2,10", str, "comma-separated squeeze ratios for sweeps")
+    points: int = _setting(512, int, "grid points per sweep")
+    axis_lo: float | None = _setting(None, float, "sweep axis lower end")
+    axis_hi: float | None = _setting(None, float, "sweep axis upper end")
+    include_sql: bool = _setting(
+        True, _parse_bool, "emit the uncoupled ground-state reference column"
+    )
+    out: str | None = _setting(None, str, "output CSV path")
+    tolerance: float = _setting(1e-6, float, "relative tolerance for the readout verification")
+    include_printed_signal: bool = _setting(
+        False, _parse_bool, "also check the printed signal variant"
+    )
+    full_model: bool = _setting(
+        False, _parse_bool, "propagate the full cavity model for comparison"
+    )
+    jobs: int = _setting(1, int, "worker threads for sweeps")
+    step: float | None = _setting(None, float, "integrator step override")
+    gnuplot: str | None = _setting(None, str, "also write a gnuplot script to this path")
+
+
+_PARSERS = {f.name: f.metadata["parse"] for f in fields(RunConfig)}
 
 
 def _convert(key: str, raw: str, source: str):
@@ -189,6 +182,9 @@ def build_config(args: argparse.Namespace, environ=None) -> RunConfig:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             values[key] = flag_value
+    for key, value in values.items():
+        if _PARSERS[key] is float and value is not None and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
     cfg = RunConfig(**values)
     if cfg.signal_variant not in SIGNAL_VARIANTS:
         raise ConfigError(
@@ -196,9 +192,11 @@ def build_config(args: argparse.Namespace, environ=None) -> RunConfig:
         )
     if cfg.phi != "opt":
         try:
-            float(cfg.phi)
+            phi = float(cfg.phi)
         except ValueError:
-            raise ConfigError(f"phi must be 'opt' or a number, got {cfg.phi!r}") from None
+            phi = math.nan
+        if not math.isfinite(phi):
+            raise ConfigError(f"phi must be 'opt' or a finite number, got {cfg.phi!r}")
     if cfg.jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {cfg.jobs}")
     return cfg
@@ -223,9 +221,12 @@ def _parse_ratio_list(cfg: RunConfig) -> tuple[float, ...]:
     if not items:
         raise ConfigError(f"r_list is empty: {cfg.r_list!r}")
     try:
-        return tuple(float(piece) for piece in items)
+        ratios = tuple(float(piece) for piece in items)
     except ValueError:
         raise ConfigError(f"r_list must be comma-separated numbers, got {cfg.r_list!r}") from None
+    if not all(map(math.isfinite, ratios)):
+        raise ConfigError(f"r_list entries must be finite, got {cfg.r_list!r}")
+    return ratios
 
 
 def _probe_params(cfg: RunConfig) -> ProbeParams:
@@ -464,58 +465,17 @@ def cmd_dump_config(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-_FLOAT_FLAGS = [
-    ("--omega", "mechanical frequency (sets the time unit)"),
-    ("--coupling-chi", "composite coupling of the eliminated cavity"),
-    ("--g-opt", "single-photon optomechanical coupling"),
-    ("--beta-abs", "cavity amplitude magnitude"),
-    ("--delta", "cavity detuning"),
-    ("--r", "squeeze ratio of the entangler"),
-    ("--temperature", "bath temperature (overrides --n-th)"),
-    ("--hbar-over-kb", "unit factor for the temperature conversion"),
-    ("--n-th", "thermal occupation of each probe"),
-    ("--gamma-mech", "mechanical damping rate"),
-    ("--kappa", "readout coupling g*gamma in units of omega"),
-    ("--tau-scaled", "readout duration in units of 1/omega"),
-    ("--axis-lo", "sweep axis lower end"),
-    ("--axis-hi", "sweep axis upper end"),
-    ("--tolerance", "relative tolerance for the readout verification"),
-    ("--step", "integrator step override"),
-]
-
-_STR_FLAGS = [
-    ("--phi", "interference phase in radians, or 'opt'"),
-    ("--signal-variant", "force transfer convention: consistent or printed"),
-    ("--r-list", "comma-separated squeeze ratios for sweeps"),
-    ("--out", "output CSV path"),
-    ("--gnuplot", "also write a gnuplot script to this path"),
-]
-
-_INT_FLAGS = [
-    ("--points", "grid points per sweep"),
-    ("--jobs", "worker threads for sweeps"),
-]
-
-_BOOL_FLAGS = [
-    ("--include-sql", "emit the uncoupled ground-state reference column"),
-    ("--include-printed-signal", "also check the printed signal variant"),
-    ("--full-model", "propagate the full cavity model for comparison"),
-]
-
-
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("configuration")
     group.add_argument("--config", help="flat key = value config file")
-    for flag, help_text in _FLOAT_FLAGS:
-        group.add_argument(flag, type=float, default=None, help=help_text)
-    for flag, help_text in _STR_FLAGS:
-        group.add_argument(flag, default=None, help=help_text)
-    for flag, help_text in _INT_FLAGS:
-        group.add_argument(flag, type=int, default=None, help=help_text)
-    for flag, help_text in _BOOL_FLAGS:
-        group.add_argument(
-            flag, action=argparse.BooleanOptionalAction, default=None, help=help_text
-        )
+    for f in fields(RunConfig):
+        parse = f.metadata["parse"]
+        if parse is _parse_bool:
+            kwargs = {"action": argparse.BooleanOptionalAction}
+        else:
+            kwargs = {"type": None if parse is str else parse}
+        flag = "--" + f.name.replace("_", "-")
+        group.add_argument(flag, default=None, help=f.metadata["help"], **kwargs)
 
 
 _COMMANDS = [

@@ -19,6 +19,7 @@ from .metrology import (
     SIGNAL_VARIANTS,
     FminPoint,
     MeterParams,
+    UndetectableForceError,
     f_min,
     noise,
     phi_opt,
@@ -33,7 +34,6 @@ __all__ = [
     "fig2_spec",
     "axis_values",
     "fmin_curve",
-    "golden_section",
     "optimal_kappa",
 ]
 
@@ -145,33 +145,6 @@ def fmin_curve(spec: SweepSpec, jobs: int = 1) -> list[FminPoint]:
     return [row for rows in per_point for row in rows]
 
 
-def golden_section(fn, lo: float, hi: float, tol: float, max_iter: int = 200):
-    """Minimize a unimodal scalar function on [lo, hi].
-
-    Returns (x, fn(x)) once the bracket is narrower than ``tol``.
-    """
-    if not hi > lo:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(max_iter):
-        if b - a < tol:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    return x, fn(x)
-
-
 @dataclass(frozen=True)
 class KappaOptimum:
     kappa: float
@@ -183,37 +156,27 @@ def optimal_kappa(
     ratio: float,
     n_th: float,
     *,
-    lo: float = 1e-3,
-    hi: float = 1e2,
-    rel_tol: float = 1e-6,
-    coarse_points: int = 64,
     signal_variant: str = SIGNAL_CONSISTENT,
 ) -> KappaOptimum:
     """Coupling that minimizes f_min at fixed duration, phase-optimized.
 
-    A coarse logarithmic scan brackets the minimum, then golden-section
-    on log(kappa) refines it to the requested relative width.
+    In kappa, f_min**2 = a + b*kappa**2 + c/kappa**2 with
+    b/c = 4*(tau_scaled - sin(tau_scaled))**2 for either signal variant, so
+    the optimum kappa = 1/sqrt(2*(tau_scaled - sin(tau_scaled))) does not
+    depend on the squeeze ratio, the occupation or the variant.
     """
-    if not (lo > 0 and hi > lo):
-        raise ValueError(f"need 0 < lo < hi, got lo={lo} hi={hi}")
-    if rel_tol <= 0:
-        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
-    if coarse_points < 3:
-        raise ValueError(f"coarse_points must be at least 3, got {coarse_points}")
-    phi = phi_opt(tau_scaled)
-
-    def objective(kappa: float) -> float:
-        meter = MeterParams(
-            kappa=kappa, tau_scaled=tau_scaled, phi=phi, signal_variant=signal_variant
+    if tau_scaled < 0:
+        raise ValueError(f"tau_scaled must be nonnegative, got {tau_scaled}")
+    ramp = tau_scaled - math.sin(tau_scaled)
+    if not ramp > 0.0:
+        raise UndetectableForceError(
+            f"signal transfer vanishes at tau_scaled={tau_scaled}"
         )
-        return f_min(meter, ratio, n_th)
-
-    grid = np.geomspace(lo, hi, coarse_points)
-    values = [objective(float(k)) for k in grid]
-    i = int(np.argmin(values))
-    a = float(grid[max(i - 1, 0)])
-    b = float(grid[min(i + 1, coarse_points - 1)])
-    log_x, best = golden_section(
-        lambda u: objective(math.exp(u)), math.log(a), math.log(b), math.log1p(rel_tol)
+    kappa = 1.0 / math.sqrt(2.0 * ramp)
+    meter = MeterParams(
+        kappa=kappa,
+        tau_scaled=tau_scaled,
+        phi=phi_opt(tau_scaled),
+        signal_variant=signal_variant,
     )
-    return KappaOptimum(kappa=math.exp(log_x), f_min=best)
+    return KappaOptimum(kappa=kappa, f_min=f_min(meter, ratio, n_th))

@@ -3,8 +3,11 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
+
+from twinprobe.cli import RunConfig
 
 PI = math.pi
 
@@ -98,8 +101,15 @@ def test_optimize_kappa_command():
         "optimize-kappa", "--tau-scaled", repr(PI / 2), "--r", "10", "--n-th", "20"
     )
     assert proc.returncode == 0
-    assert stdout_value(proc, "kappa_opt") == pytest.approx(0.935932260872577, rel=1e-4)
+    assert stdout_value(proc, "kappa_opt") == pytest.approx(0.935932260872577, rel=1e-9)
     assert stdout_value(proc, "f_min") == pytest.approx(1.09113300329450691, rel=1e-6)
+    # short durations put the optimum far out: 1/sqrt(2(tau - sin tau))
+    proc = run_cli("optimize-kappa", "--tau-scaled", "0.01", "--r", "10")
+    assert proc.returncode == 0
+    assert stdout_value(proc, "kappa_opt") == pytest.approx(1732.05513770182, rel=1e-9)
+    proc = run_cli("optimize-kappa", "--tau-scaled", "1e-9")
+    assert proc.returncode == 3
+    assert "signal transfer vanishes" in proc.stderr
 
 
 def test_fig1_csv_layout(tmp_path):
@@ -204,6 +214,88 @@ def test_dump_config_round_trips(tmp_path):
     cfg.write_text(first.stdout)
     second = run_cli("dump-config", "--config", str(cfg))
     assert second.stdout == first.stdout
+
+
+# one non-default value per RunConfig field, in field order, as dump-config prints it
+NON_DEFAULT = {
+    "omega": "2.0",
+    "coupling_chi": "1.5",
+    "g_opt": "0.25",
+    "beta_abs": "3.0",
+    "delta": "100.0",
+    "r": "4.0",
+    "temperature": "0.5",
+    "hbar_over_kb": "2.0",
+    "n_th": "3.0",
+    "gamma_mech": "1e-06",
+    "kappa": "2.5",
+    "tau_scaled": "1.0",
+    "phi": "0.3",
+    "signal_variant": "printed",
+    "r_list": "1,5",
+    "points": "64",
+    "axis_lo": "0.1",
+    "axis_hi": "3.0",
+    "include_sql": "false",
+    "out": "curve.csv",
+    "tolerance": "1e-08",
+    "include_printed_signal": "true",
+    "full_model": "true",
+    "jobs": "2",
+    "step": "0.01",
+    "gnuplot": "curve.gp",
+}
+
+
+def test_every_setting_reaches_config_file_env_and_flag(tmp_path):
+    assert list(NON_DEFAULT) == [f.name for f in fields(RunConfig)]
+    text = "".join(f"{key} = {value}\n" for key, value in NON_DEFAULT.items())
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text(text)
+    assert run_cli("dump-config", "--config", str(cfg)).stdout == text
+    env = {f"TWINPROBE_{key.upper()}": value for key, value in NON_DEFAULT.items()}
+    assert run_cli("dump-config", env_extra=env).stdout == text
+    flags = []
+    for key, value in NON_DEFAULT.items():
+        flag = "--" + key.replace("_", "-")
+        if value in ("true", "false"):
+            flags.append(flag if value == "true" else "--no-" + flag[2:])
+        else:
+            flags.append(f"{flag}={value}")
+    assert run_cli("dump-config", *flags).stdout == text
+    usage = run_cli("dump-config", "--help").stdout
+    for key in NON_DEFAULT:
+        assert "--" + key.replace("_", "-") + " " in usage
+
+
+@pytest.mark.parametrize(
+    "args, env, cfg_text, key",
+    [
+        pytest.param(("fmin", "--kappa", "nan"), None, None, "kappa", id="kappa"),
+        pytest.param(("fmin", "--r", "nan"), None, None, "r", id="r"),
+        pytest.param(("fmin", "--n-th", "inf"), None, None, "n_th", id="n_th"),
+        pytest.param(
+            ("fmin", "--tau-scaled", "inf"), None, None, "tau_scaled", id="tau_scaled"
+        ),
+        pytest.param(("fmin", "--phi", "nan"), None, None, "phi", id="phi"),
+        pytest.param(
+            ("budget", "--gamma-mech", "nan"), None, None, "gamma_mech", id="gamma_mech"
+        ),
+        pytest.param(("fig2", "--r-list", "1,nan"), None, None, "r_list", id="r_list"),
+        pytest.param(("entangle", "--r", "inf"), None, None, "r", id="entangle-r"),
+        pytest.param(("fmin",), {"TWINPROBE_KAPPA": "nan"}, None, "kappa", id="env"),
+        pytest.param(("fmin",), None, "n_th = inf\n", "n_th", id="config-file"),
+    ],
+)
+def test_non_finite_setting_is_config_error(tmp_path, args, env, cfg_text, key):
+    if cfg_text is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(cfg_text)
+        args = (*args, "--config", str(cfg))
+    proc = run_cli(*args, "--out", str(tmp_path / "out.csv"), env_extra=env)
+    assert proc.returncode == 2
+    assert f"config error: {key} " in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_domain_error_exit_codes():

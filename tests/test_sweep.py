@@ -3,14 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from twinprobe.metrology import MeterParams, f_min, phi_opt, sql
+from twinprobe.metrology import (
+    MeterParams,
+    UndetectableForceError,
+    f_min,
+    phi_opt,
+    sql,
+)
 from twinprobe.sweep import (
     SweepSpec,
     axis_values,
     fig1_spec,
     fig2_spec,
     fmin_curve,
-    golden_section,
     optimal_kappa,
 )
 
@@ -89,34 +94,30 @@ def test_fmin_curve_without_sql_column():
     assert all(math.isnan(pt.f_sql) for pt in rows)
 
 
-def test_golden_section_quadratic():
-    x, fx = golden_section(lambda x: (x - 1.3) ** 2 + 0.5, 0.0, 3.0, tol=1e-9)
-    assert x == pytest.approx(1.3, abs=1e-8)
-    assert fx == pytest.approx(0.5, abs=1e-12)
-    with pytest.raises(ValueError):
-        golden_section(lambda x: x, 1.0, 1.0, tol=1e-6)
-
-
 def test_optimal_kappa_matches_analytic_optimum():
     # f^2 is A + B*kappa^2 + C/kappa^2 in kappa^2, so the optimum is
     # kappa^2 = 1/(2(tau - sin tau)) independent of ratio and occupation
     want = math.sqrt(0.875969196942054331)
     for ratio, n_th in ((1.0, 0.0), (2.0, 20.0), (10.0, 20.0)):
         best = optimal_kappa(PI / 2, ratio, n_th)
-        assert best.kappa == pytest.approx(want, rel=1e-5)
+        assert best.kappa == pytest.approx(want, rel=1e-12)
     best = optimal_kappa(PI / 2, 10.0, 20.0)
     assert best.f_min == pytest.approx(1.09113300329450691, rel=1e-9)
     # printed signal convention rescales S but not the optimum location
     printed = optimal_kappa(PI / 2, 10.0, 20.0, signal_variant="printed")
-    assert printed.kappa == pytest.approx(want, rel=1e-5)
-
-
-def test_optimal_kappa_argument_checks():
-    with pytest.raises(ValueError):
-        optimal_kappa(PI / 2, 1.0, 0.0, lo=0.0)
-    with pytest.raises(ValueError):
-        optimal_kappa(PI / 2, 1.0, 0.0, lo=2.0, hi=1.0)
-    with pytest.raises(ValueError):
-        optimal_kappa(PI / 2, 1.0, 0.0, rel_tol=0.0)
-    with pytest.raises(ValueError):
-        optimal_kappa(PI / 2, 1.0, 0.0, coarse_points=2)
+    assert printed.kappa == pytest.approx(want, rel=1e-12)
+    # short to long durations, both variants: the closed form is a local
+    # minimum, every kappa 1e-4 away on either side does worse
+    for tau in (0.05, 0.06, 1.0, 6.0):
+        for variant in ("consistent", "printed"):
+            best = optimal_kappa(tau, 10.0, 20.0, signal_variant=variant)
+            assert best.kappa == pytest.approx(1 / math.sqrt(2 * (tau - math.sin(tau))))
+            phi = phi_opt(tau)
+            for k in (best.kappa * (1 - 1e-4), best.kappa * (1 + 1e-4)):
+                m = MeterParams(kappa=k, tau_scaled=tau, phi=phi, signal_variant=variant)
+                assert f_min(m, 10.0, 20.0) > best.f_min
+    with pytest.raises(UndetectableForceError):
+        optimal_kappa(1e-9, 1.0, 0.0)
+    with pytest.raises(ValueError, match="tau_scaled") as err:
+        optimal_kappa(-1.0, 1.0, 0.0)
+    assert not isinstance(err.value, UndetectableForceError)
