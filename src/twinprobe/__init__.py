@@ -43,7 +43,6 @@ from .metrology import (
     SIGNAL_CONSISTENT,
     SIGNAL_PRINTED,
     DecoherenceBudget,
-    FminPoint,
     MeterParams,
     UndetectableForceError,
     decoherence_budget,
@@ -81,7 +80,6 @@ __all__ = [
     "DecoherenceBudget",
     "EntanglementReport",
     "EntanglerOutput",
-    "FminPoint",
     "IntegrationDivergedError",
     "KappaOptimum",
     "LinearSystem",

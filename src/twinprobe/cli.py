@@ -33,15 +33,9 @@ from .dynamics import (
 from .metrology import (
     SIGNAL_CONSISTENT,
     SIGNAL_VARIANTS,
-    FminPoint,
-    MeterParams,
     UndetectableForceError,
     decoherence_budget,
-    f_min,
-    noise,
     phi_opt,
-    signal_coeff,
-    sql,
 )
 from .oracle import (
     IntegrationDivergedError,
@@ -118,7 +112,7 @@ class RunConfig:
     full_model: bool = _setting(
         False, _parse_bool, "propagate the full cavity model for comparison"
     )
-    jobs: int = _setting(1, int, "worker threads for sweeps")
+    jobs: int = _setting(1, int, "accepted for compatibility, no effect (must be >= 1)")
     step: float | None = _setting(None, float, "integrator step override")
     gnuplot: str | None = _setting(None, str, "also write a gnuplot script to this path")
 
@@ -199,6 +193,7 @@ def build_config(args: argparse.Namespace, environ=None) -> RunConfig:
             raise ConfigError(f"phi must be 'opt' or a finite number, got {cfg.phi!r}")
     if cfg.jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {cfg.jobs}")
+    _parse_ratio_list(cfg)
     return cfg
 
 
@@ -271,24 +266,12 @@ def _g(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _write_csv(path: str, axis: str, rows: list[FminPoint]) -> None:
+def _write_csv(path: str, axis: str, rows) -> None:
+    """Write sweep rows (a record array from ``sweep.fmin_points``) as CSV."""
+    columns = (rows[axis], rows.ratio, rows.phi, rows.signal, rows.noise, rows.f_min, rows.f_sql)
+    row_format = ",".join(["%.12g"] * len(columns))
     lines = ["axis,r,phi_opt,signal,noise,f_min,f_sql"]
-    for pt in rows:
-        axis_value = pt.tau_scaled if axis == "tau_scaled" else pt.kappa
-        lines.append(
-            ",".join(
-                _g(v)
-                for v in (
-                    axis_value,
-                    pt.ratio,
-                    pt.phi,
-                    pt.signal,
-                    pt.noise,
-                    pt.f_min,
-                    pt.f_sql,
-                )
-            )
-        )
+    lines += [row_format % values for values in zip(*(c.tolist() for c in columns))]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -356,7 +339,7 @@ def _run_sweep(cfg: RunConfig, base: sweep_mod.SweepSpec, default_out: str) -> i
     if cfg.axis_hi is not None:
         overrides["hi"] = cfg.axis_hi
     spec = replace(base, **overrides)
-    rows = sweep_mod.fmin_curve(spec, jobs=cfg.jobs)
+    rows = sweep_mod.fmin_curve(spec)
     out_path = cfg.out or default_out
     _write_csv(out_path, spec.axis, rows)
     print(f"wrote {len(rows)} rows to {out_path}")
@@ -375,34 +358,18 @@ def cmd_fig2(cfg: RunConfig) -> int:
 
 
 def cmd_fmin(cfg: RunConfig) -> int:
-    ratio = cfg.r if cfg.r is not None else 1.0
-    n_th = _resolve_n_th(cfg)
-    phi = _resolve_phi(cfg, cfg.tau_scaled)
-    meter = MeterParams(
-        kappa=cfg.kappa,
-        tau_scaled=cfg.tau_scaled,
-        phi=phi,
+    point = sweep_mod.fmin_points(
+        cfg.tau_scaled,
+        cfg.kappa,
+        cfg.r if cfg.r is not None else 1.0,
+        _resolve_n_th(cfg),
+        _resolve_phi(cfg, cfg.tau_scaled),
         signal_variant=cfg.signal_variant,
     )
-    point = FminPoint(
-        tau_scaled=cfg.tau_scaled,
-        kappa=cfg.kappa,
-        ratio=ratio,
-        n_th=n_th,
-        phi=phi,
-        signal=signal_coeff(meter),
-        noise=noise(meter, ratio, n_th),
-        f_min=f_min(meter, ratio, n_th),
-        f_sql=sql(meter),
-    )
-    for name in ("tau_scaled", "kappa", "ratio", "n_th", "phi"):
-        print(f"{name} = {_g(getattr(point, name))}")
-    print(f"signal = {_g(point.signal)}")
-    print(f"noise = {_g(point.noise)}")
-    print(f"f_min = {_g(point.f_min)}")
-    print(f"f_sql = {_g(point.f_sql)}")
+    for name in point.dtype.names:
+        print(f"{name} = {_g(point[name][0])}")
     if cfg.out:
-        _write_csv(cfg.out, "tau_scaled", [point])
+        _write_csv(cfg.out, "tau_scaled", point)
         print(f"wrote 1 row to {cfg.out}")
     return EXIT_OK
 

@@ -17,19 +17,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 __all__ = [
     "SIGNAL_CONSISTENT",
     "SIGNAL_PRINTED",
     "SIGNAL_VARIANTS",
     "UndetectableForceError",
     "MeterParams",
-    "FminPoint",
     "DecoherenceBudget",
     "signal_coeff",
     "noise",
     "phi_opt",
     "f_min",
     "sql",
+    "t_minus_sin",
     "decoherence_budget",
 ]
 
@@ -51,6 +53,9 @@ class MeterParams:
     phi            common local-rotation angle applied to the probe state
                    before the force acts
     signal_variant force-transfer convention, one of SIGNAL_VARIANTS
+
+    kappa, tau_scaled and phi may be floats or broadcastable arrays; the
+    closed forms below then return arrays of the broadcast shape.
     """
 
     kappa: float
@@ -59,9 +64,9 @@ class MeterParams:
     signal_variant: str = SIGNAL_CONSISTENT
 
     def __post_init__(self) -> None:
-        if self.kappa < 0:
+        if np.any(self.kappa < 0):
             raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
-        if self.tau_scaled < 0:
+        if np.any(self.tau_scaled < 0):
             raise ValueError(f"tau_scaled must be nonnegative, got {self.tau_scaled}")
         if self.signal_variant not in SIGNAL_VARIANTS:
             raise ValueError(
@@ -70,105 +75,90 @@ class MeterParams:
             )
 
 
-def signal_coeff(m: MeterParams) -> float:
+def t_minus_sin(t):
+    """t - sin(t) for a float or an array, accurate to roundoff at small |t|.
+
+    The plain difference cancels as t shrinks (all digits are lost near
+    t = 1e-8), so below |t| = 0.1 the Taylor series t^3/3! - t^5/5! + ...
+    is summed instead; six terms reach roundoff there (Goldberg, "What
+    every computer scientist should know about floating-point
+    arithmetic", 1991).
+    """
+    small = np.abs(t) < 0.1
+    ts = np.where(small, t, 0.0)[()]
+    t2 = ts * ts
+    series = 1.0
+    for k in (12, 10, 8, 6, 4):
+        series = 1.0 - t2 / (k * (k + 1)) * series
+    return np.where(small, ts * t2 / 6.0 * series, t - np.sin(t))[()]
+
+
+def _one_minus_cos(t):
+    return 2.0 * np.sin(0.5 * t) ** 2
+
+
+def signal_coeff(m: MeterParams):
     """Force-transfer coefficient <Y1 + Y2> / f after time tau."""
     t = m.tau_scaled
     if m.signal_variant == SIGNAL_PRINTED:
-        ramp = 1.0 + t - math.cos(t)
+        ramp = t + _one_minus_cos(t)
     else:
-        ramp = t - math.sin(t)
-    return 2.0 * math.sqrt(2.0) * m.kappa * ramp
+        ramp = t_minus_sin(t)
+    return 2.0 * np.sqrt(2.0) * m.kappa * ramp
 
 
-def noise(m: MeterParams, ratio: float, n_th: float) -> float:
+def noise(m: MeterParams, ratio, n_th):
     """Variance of Y1 + Y2 after time tau for a squeezed thermal probe pair.
 
-    Five contributions: the squeezed and antisqueezed collective probe
-    quadratures mapped onto the readout, their cross correlation from
-    the rotation angle, the meter back-action, and the shot floor of the
-    two meters.  Always >= 1.
+    Three contributions: the probe pair's squeezed and antisqueezed
+    collective quadratures, rotated by phi and mapped onto the readout,
+    the meter back-action, and the shot floor of the two meters.  Always
+    >= 1.
     """
-    if ratio < 1.0:
+    if np.any(ratio < 1.0):
         raise ValueError(f"squeeze ratio must be >= 1, got {ratio}")
-    if n_th < 0:
+    if np.any(n_th < 0):
         raise ValueError(f"n_th must be nonnegative, got {n_th}")
     t = m.tau_scaled
     k2 = m.kappa**2
-    u = math.sin(t)
-    w = 1.0 - math.cos(t)
-    c, s = math.cos(m.phi), math.sin(m.phi)
-    rm2 = ratio**-2
-    rp2 = ratio**2
+    u = np.sin(t)
+    w = _one_minus_cos(t)
+    c, s = np.cos(m.phi), np.sin(m.phi)
+    r2 = ratio**2
     heat = 1.0 + 2.0 * n_th
-    probe = (
-        k2 * u**2 * (rm2 * c**2 + rp2 * s**2) * heat
-        + k2 * w**2 * (rm2 * s**2 + rp2 * c**2) * heat
-        - 2.0 * k2 * u * w * (rm2 - rp2) * s * c * heat
-    )
-    backaction = 4.0 * k2**2 * (t - u) ** 2
+    probe = heat * k2 * ((u * c - w * s) ** 2 / r2 + (u * s + w * c) ** 2 * r2)
+    backaction = 4.0 * k2**2 * t_minus_sin(t) ** 2
     return probe + backaction + 1.0
 
 
-def _probe_bracket(phi: float, u: float, w: float, ratio: float) -> float:
-    # factored form of the three probe terms of noise(), without kappa or heat
-    c, s = math.cos(phi), math.sin(phi)
-    return (u * c - w * s) ** 2 / ratio**2 + (u * s + w * c) ** 2 * ratio**2
-
-
-def phi_opt(tau_scaled: float) -> float:
+def phi_opt(tau_scaled):
     """Rotation angle minimizing the readout noise at this interaction time.
 
-    The stationary family is spaced by pi/2; the minimizing branch is
-    selected by direct evaluation (it is the same for every squeeze
-    ratio > 1, and at ratio 1 the noise does not depend on phi).  The
-    result is normalized to (-pi/2, pi/2].
+    phi = -tau_scaled/2 puts the antisqueezed quadrature off the readout
+    (u*sin(phi) + w*cos(phi) = 0 with u = sin(tau), w = 1 - cos(tau)), for
+    every squeeze ratio; at ratio 1 the noise does not depend on phi.  The
+    angle is taken modulo pi, into (-pi/2, pi/2].  Takes a float or an
+    array.
     """
-    if tau_scaled < 0:
+    if np.any(tau_scaled < 0):
         raise ValueError(f"tau_scaled must be nonnegative, got {tau_scaled}")
-    u = math.sin(tau_scaled)
-    w = 1.0 - math.cos(tau_scaled)
-    if u == 0.0 and w == 0.0:
-        return 0.0
-    base = -0.5 * math.atan2(2.0 * u * w, u**2 - w**2)
-    candidates = [base + n * math.pi / 2.0 for n in range(4)]
-    best = min(candidates, key=lambda phi: _probe_bracket(phi, u, w, 2.0))
-    while best <= -math.pi / 2.0:
-        best += math.pi
-    while best > math.pi / 2.0:
-        best -= math.pi
-    if best == -math.pi / 2.0:
-        best = math.pi / 2.0
-    return best
+    half = 0.5 * tau_scaled
+    return np.floor(half / np.pi + 0.5) * np.pi - half
 
 
-def f_min(m: MeterParams, ratio: float, n_th: float) -> float:
+def f_min(m: MeterParams, ratio, n_th):
     """Minimum detectable force, sqrt(noise) / |signal|."""
     s = signal_coeff(m)
-    if s == 0.0:
-        raise UndetectableForceError(
-            f"signal transfer vanishes at tau_scaled={m.tau_scaled}"
-        )
-    return math.sqrt(noise(m, ratio, n_th)) / abs(s)
+    zero = s == 0.0
+    if np.any(zero):
+        tau = np.broadcast_to(m.tau_scaled, np.shape(s))[zero][0]
+        raise UndetectableForceError(f"signal transfer vanishes at tau_scaled={tau}")
+    return np.sqrt(noise(m, ratio, n_th)) / np.abs(s)
 
 
-def sql(m: MeterParams) -> float:
+def sql(m: MeterParams):
     """Standard quantum limit: f_min of uncoupled ground-state probes."""
     return f_min(replace(m, phi=0.0), 1.0, 0.0)
-
-
-@dataclass(frozen=True)
-class FminPoint:
-    """One evaluated point of a sensitivity sweep."""
-
-    tau_scaled: float
-    kappa: float
-    ratio: float
-    n_th: float
-    phi: float
-    signal: float
-    noise: float
-    f_min: float
-    f_sql: float
 
 
 @dataclass(frozen=True)

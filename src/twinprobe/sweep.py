@@ -3,13 +3,13 @@
 Sweeps evaluate the closed-form minimum detectable force on an axis grid
 (one row per squeeze ratio per grid point, axis-major order), always at
 the interference phase that minimizes the noise for that grid point.
-Rows are plain records so the command line layer can serialize them
-without recomputation.
+Each sweep is one broadcast evaluation of the closed forms; rows come back
+as a record array, so the command line layer can serialize them without
+recomputation.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,7 +17,6 @@ import numpy as np
 from .metrology import (
     SIGNAL_CONSISTENT,
     SIGNAL_VARIANTS,
-    FminPoint,
     MeterParams,
     UndetectableForceError,
     f_min,
@@ -25,6 +24,7 @@ from .metrology import (
     phi_opt,
     signal_coeff,
     sql,
+    t_minus_sin,
 )
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "fig2_spec",
     "axis_values",
     "fmin_curve",
+    "fmin_points",
     "optimal_kappa",
 ]
 
@@ -97,52 +98,67 @@ def axis_values(spec: SweepSpec) -> np.ndarray:
     return np.linspace(spec.lo, spec.hi, spec.points)
 
 
-def _evaluate_point(spec: SweepSpec, x: float) -> list[FminPoint]:
-    tau = x if spec.axis == "tau_scaled" else spec.tau_scaled
-    kappa = x if spec.axis == "kappa" else spec.kappa
-    phi = phi_opt(tau)
-    if spec.include_sql:
-        f_ref = sql(
-            MeterParams(kappa=kappa, tau_scaled=tau, signal_variant=spec.signal_variant)
-        )
-    else:
-        f_ref = math.nan
+def fmin_points(
+    tau_scaled,
+    kappa,
+    ratio,
+    n_th,
+    phi,
+    *,
+    signal_variant: str = SIGNAL_CONSISTENT,
+    include_sql: bool = True,
+) -> np.recarray:
+    """Evaluate f_min and its parts at every point of the broadcast inputs.
+
+    The inputs are floats or arrays that broadcast together.  The result is
+    a flat, read-only record array with one row per broadcast element, in C
+    order, and the fields tau_scaled, kappa, ratio, n_th, phi, signal,
+    noise, f_min and f_sql (nan unless ``include_sql`` is set).
+    """
     meter = MeterParams(
-        kappa=kappa, tau_scaled=tau, phi=phi, signal_variant=spec.signal_variant
+        kappa=kappa, tau_scaled=tau_scaled, phi=phi, signal_variant=signal_variant
     )
-    rows = []
-    for ratio in spec.ratios:
-        rows.append(
-            FminPoint(
-                tau_scaled=tau,
-                kappa=kappa,
-                ratio=ratio,
-                n_th=spec.n_th,
-                phi=phi,
-                signal=signal_coeff(meter),
-                noise=noise(meter, ratio, spec.n_th),
-                f_min=f_min(meter, ratio, spec.n_th),
-                f_sql=f_ref,
-            )
-        )
+    columns = {
+        "tau_scaled": tau_scaled,
+        "kappa": kappa,
+        "ratio": ratio,
+        "n_th": n_th,
+        "phi": phi,
+        "signal": signal_coeff(meter),
+        "noise": noise(meter, ratio, n_th),
+        "f_min": f_min(meter, ratio, n_th),
+        "f_sql": sql(meter) if include_sql else math.nan,
+    }
+    shape = np.broadcast_shapes(*map(np.shape, columns.values()))
+    rows = np.empty(shape, [(name, float) for name in columns])
+    for name, values in columns.items():
+        rows[name] = values
+    rows = rows.reshape(-1).view(np.recarray)
+    rows.flags.writeable = False
     return rows
 
 
-def fmin_curve(spec: SweepSpec, jobs: int = 1) -> list[FminPoint]:
+def fmin_curve(spec: SweepSpec, jobs: int = 1) -> np.recarray:
     """Evaluate the sweep, axis-major: all ratios for a grid point together.
 
-    ``jobs`` > 1 distributes grid points over threads; the row order is
-    by grid index regardless, so output is deterministic.
+    One broadcast call over a (points, 1) axis column and a (1, ratios)
+    row; see ``fmin_points`` for the rows.  ``jobs`` is accepted for
+    compatibility and must be at least 1; it changes nothing.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    xs = [float(x) for x in axis_values(spec)]
-    if jobs == 1:
-        per_point = [_evaluate_point(spec, x) for x in xs]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_point = list(pool.map(lambda x: _evaluate_point(spec, x), xs))
-    return [row for rows in per_point for row in rows]
+    x = axis_values(spec)[:, None]
+    tau = x if spec.axis == "tau_scaled" else spec.tau_scaled
+    kappa = x if spec.axis == "kappa" else spec.kappa
+    return fmin_points(
+        tau,
+        kappa,
+        np.array(spec.ratios)[None, :],
+        spec.n_th,
+        phi_opt(tau),
+        signal_variant=spec.signal_variant,
+        include_sql=spec.include_sql,
+    )
 
 
 @dataclass(frozen=True)
@@ -167,7 +183,7 @@ def optimal_kappa(
     """
     if tau_scaled < 0:
         raise ValueError(f"tau_scaled must be nonnegative, got {tau_scaled}")
-    ramp = tau_scaled - math.sin(tau_scaled)
+    ramp = t_minus_sin(tau_scaled)
     if not ramp > 0.0:
         raise UndetectableForceError(
             f"signal transfer vanishes at tau_scaled={tau_scaled}"

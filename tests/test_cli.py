@@ -107,7 +107,11 @@ def test_optimize_kappa_command():
     proc = run_cli("optimize-kappa", "--tau-scaled", "0.01", "--r", "10")
     assert proc.returncode == 0
     assert stdout_value(proc, "kappa_opt") == pytest.approx(1732.05513770182, rel=1e-9)
+    # the series form of tau - sin tau keeps tiny durations resolvable
     proc = run_cli("optimize-kappa", "--tau-scaled", "1e-9")
+    assert proc.returncode == 0
+    assert stdout_value(proc, "kappa_opt") == pytest.approx(5.47722557505e13, rel=1e-9)
+    proc = run_cli("optimize-kappa", "--tau-scaled", "0")
     assert proc.returncode == 3
     assert "signal transfer vanishes" in proc.stderr
 
@@ -282,6 +286,9 @@ def test_every_setting_reaches_config_file_env_and_flag(tmp_path):
             ("budget", "--gamma-mech", "nan"), None, None, "gamma_mech", id="gamma_mech"
         ),
         pytest.param(("fig2", "--r-list", "1,nan"), None, None, "r_list", id="r_list"),
+        pytest.param(
+            ("dump-config", "--r-list", "1,nan"), None, None, "r_list", id="dump-config-r_list"
+        ),
         pytest.param(("entangle", "--r", "inf"), None, None, "r", id="entangle-r"),
         pytest.param(("fmin",), {"TWINPROBE_KAPPA": "nan"}, None, "kappa", id="env"),
         pytest.param(("fmin",), None, "n_th = inf\n", "n_th", id="config-file"),

@@ -1,12 +1,16 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinprobe.metrology import (
     SIGNAL_CONSISTENT,
     SIGNAL_PRINTED,
+    SIGNAL_VARIANTS,
     MeterParams,
     UndetectableForceError,
     decoherence_budget,
@@ -15,6 +19,7 @@ from twinprobe.metrology import (
     phi_opt,
     signal_coeff,
     sql,
+    t_minus_sin,
 )
 from twinprobe.dynamics import ProbeParams
 
@@ -152,6 +157,9 @@ def test_f_min_requires_signal():
         f_min(MeterParams(1.0, 0.0), 1.0, 0.0)
     with pytest.raises(UndetectableForceError):
         f_min(MeterParams(0.0, PI / 2), 1.0, 0.0)
+    # an array names the first duration whose signal vanishes
+    with pytest.raises(UndetectableForceError, match=r"tau_scaled=1e-120$"):
+        f_min(MeterParams(1.0, np.array([[1.0], [1e-120], [0.0]])), 1.0, 0.0)
 
 
 def test_sql_reference():
@@ -165,6 +173,65 @@ def test_entangled_probes_beat_sql():
     m = MeterParams(1.0, PI / 2, phi_opt(PI / 2))
     assert f_min(m, 2.0, 0.0) < sql(m)
     assert f_min(m, 10.0, 0.0) < f_min(m, 2.0, 0.0)
+
+
+def _exact_t_minus_sin(t: float) -> Fraction:
+    # t^3/3! - t^5/5! + ... in rationals, summed until the terms fall below 1e-40
+    x = Fraction(t)
+    term, total, k = x**3 / 6, Fraction(0), 1
+    while abs(term) > Fraction(1, 10**40) * x**3:
+        total += term
+        term *= -x * x / ((2 * k + 2) * (2 * k + 3))
+        k += 1
+    return total
+
+
+def test_t_minus_sin_matches_exact_series():
+    taus = np.geomspace(1e-9, 1.0, 200)
+    got = t_minus_sin(taus)
+    rel = np.array(
+        [abs(float(Fraction(g) / _exact_t_minus_sin(t) - 1)) for g, t in zip(got, taus)]
+    )
+    # the series below the 0.1 cutoff is good to a few ulp; above it the plain
+    # difference loses at most log10(12 / t^2) digits to cancellation
+    assert rel[taus < 0.1].max() <= 4 * np.finfo(float).eps
+    assert rel.max() <= 12 * np.finfo(float).eps / 0.1**2
+    assert [t_minus_sin(float(t)) for t in taus] == list(got)
+    assert t_minus_sin(0.0) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    meters=st.lists(
+        st.tuples(st.floats(1e-9, 4 * PI), st.floats(0.01, 4.0)), min_size=1, max_size=6
+    ),
+    states=st.lists(
+        st.tuples(st.floats(1.0, 20.0), st.floats(0.0, 100.0)), min_size=1, max_size=6
+    ),
+    variant=st.sampled_from(SIGNAL_VARIANTS),
+)
+def test_broadcast_closed_forms(meters, states, variant):
+    tau, kappa = (np.array(col)[:, None] for col in zip(*meters))
+    ratio, n_th = (np.array(col)[None, :] for col in zip(*states))
+    phi = phi_opt(tau)
+    m = MeterParams(kappa=kappa, tau_scaled=tau, phi=phi, signal_variant=variant)
+    got = {
+        "signal": signal_coeff(m),
+        "noise": noise(m, ratio, n_th),
+        "f_min": f_min(m, ratio, n_th),
+        "sql": sql(m),
+    }
+    for i, (t, k) in enumerate(meters):
+        one = MeterParams(kappa=k, tau_scaled=t, phi=phi_opt(t), signal_variant=variant)
+        assert got["signal"][i, 0] == pytest.approx(signal_coeff(one), rel=1e-12)
+        assert got["sql"][i, 0] == pytest.approx(sql(one), rel=1e-12)
+        for j, (r, n) in enumerate(states):
+            assert got["noise"][i, j] == pytest.approx(noise(one, r, n), rel=1e-12)
+            assert got["f_min"][i, j] == pytest.approx(f_min(one, r, n), rel=1e-12)
+    assert np.all(got["noise"] >= 1.0)
+    grid = np.linspace(-PI / 2, PI / 2, 64, endpoint=False)[:, None, None]
+    floor = noise(replace(m, phi=grid), ratio, n_th).min(axis=0)
+    assert np.all(got["noise"] <= floor + 1e-12 * floor)
 
 
 def test_budget_examples():

@@ -117,7 +117,7 @@ def test_optimal_kappa_matches_analytic_optimum():
                 m = MeterParams(kappa=k, tau_scaled=tau, phi=phi, signal_variant=variant)
                 assert f_min(m, 10.0, 20.0) > best.f_min
     with pytest.raises(UndetectableForceError):
-        optimal_kappa(1e-9, 1.0, 0.0)
+        optimal_kappa(0.0, 1.0, 0.0)
     with pytest.raises(ValueError, match="tau_scaled") as err:
         optimal_kappa(-1.0, 1.0, 0.0)
     assert not isinstance(err.value, UndetectableForceError)
