@@ -10,118 +10,59 @@ and cross-checks every closed form; ``sweep`` produces sensitivity
 curves and optimizes the readout coupling; ``cli`` exposes everything on
 the command line.
 
+Importing the package loads no submodule: each exported name is looked up
+in its home module on first use, so ``import twinprobe`` and the command
+line front end start without numpy.
+
 Conventions: quadrature ordering (q1, p1, q2, p2, ...), [q, p] = i, so
 vacuum variance is 1/2.  Times tagged ``_scaled`` are in units of
 1/omega.
 """
 
-from .dynamics import (
-    EntanglementReport,
-    EntanglerOutput,
-    ProbeParams,
-    UnstableRegimeError,
-    entangled_covariance,
-    is_entangled,
-    occupation_from_temperature,
-    prepare,
-    relative_mode_frequency,
-    rotate,
-    squeeze_ratio,
-    thermal_covariance,
-    transfer_matrix,
-)
-from .gaussian import (
-    CovarianceMatrix,
-    QuadratureVector,
-    ValidationReport,
-    congruence,
-    direct_sum,
-    vacuum,
-    validate,
-)
-from .metrology import (
-    SIGNAL_CONSISTENT,
-    SIGNAL_PRINTED,
-    DecoherenceBudget,
-    MeterParams,
-    UndetectableForceError,
-    decoherence_budget,
-    f_min,
-    noise,
-    phi_opt,
-    signal_coeff,
-    sql,
-)
-from .oracle import (
-    IntegrationDivergedError,
-    LinearSystem,
-    VerificationReport,
-    VerifyGrid,
-    build_entangler_system,
-    build_measurement_system,
-    full_model_deviation,
-    hamiltonian_defect,
-    integrate_moments,
-    verify_closed_forms,
-)
-from .sweep import (
-    KappaOptimum,
-    SweepSpec,
-    fig1_spec,
-    fig2_spec,
-    fmin_curve,
-    optimal_kappa,
-)
+import importlib
+
+_EXPORTS = {
+    "_common": ("SIGNAL_CONSISTENT", "SIGNAL_PRINTED"),
+    "dynamics": (
+        "EntanglementReport", "EntanglerOutput", "ProbeParams", "UnstableRegimeError",
+        "entangled_covariance", "is_entangled", "occupation_from_temperature", "prepare",
+        "relative_mode_frequency", "rotate", "squeeze_ratio", "thermal_covariance",
+        "transfer_matrix",
+    ),
+    "gaussian": (
+        "CovarianceMatrix", "QuadratureVector", "ValidationReport", "congruence", "direct_sum",
+        "vacuum", "validate",
+    ),
+    "metrology": (
+        "DecoherenceBudget", "MeterParams", "UndetectableForceError", "decoherence_budget",
+        "f_min", "noise", "phi_opt", "signal_coeff", "sql",
+    ),
+    "oracle": (
+        "IntegrationDivergedError", "LinearSystem", "VerificationReport", "VerifyGrid",
+        "build_entangler_system", "build_measurement_system", "full_model_deviation",
+        "hamiltonian_defect", "integrate_moments", "verify_closed_forms",
+    ),
+    "sweep": (
+        "KappaOptimum", "SweepSpec", "fig1_spec", "fig2_spec", "fmin_curve", "optimal_kappa",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CovarianceMatrix",
-    "DecoherenceBudget",
-    "EntanglementReport",
-    "EntanglerOutput",
-    "IntegrationDivergedError",
-    "KappaOptimum",
-    "LinearSystem",
-    "MeterParams",
-    "ProbeParams",
-    "QuadratureVector",
-    "SIGNAL_CONSISTENT",
-    "SIGNAL_PRINTED",
-    "SweepSpec",
-    "UndetectableForceError",
-    "UnstableRegimeError",
-    "ValidationReport",
-    "VerificationReport",
-    "VerifyGrid",
-    "build_entangler_system",
-    "build_measurement_system",
-    "congruence",
-    "decoherence_budget",
-    "direct_sum",
-    "entangled_covariance",
-    "f_min",
-    "fig1_spec",
-    "fig2_spec",
-    "fmin_curve",
-    "full_model_deviation",
-    "hamiltonian_defect",
-    "integrate_moments",
-    "is_entangled",
-    "noise",
-    "occupation_from_temperature",
-    "optimal_kappa",
-    "phi_opt",
-    "prepare",
-    "relative_mode_frequency",
-    "rotate",
-    "signal_coeff",
-    "sql",
-    "squeeze_ratio",
-    "thermal_covariance",
-    "transfer_matrix",
-    "vacuum",
-    "validate",
-    "verify_closed_forms",
-    "__version__",
-]
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    """Import a submodule, or an exported name's home module, on first access (PEP 562)."""
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -14,6 +14,10 @@ are rejected rather than ignored, and so is a setting that is not finite.
 Exit codes: 0 success, 2 configuration error, 3 physics domain error
 (unstable regime, vanishing signal, diverged integration), 4 closed-form
 verification failure.
+
+The module top imports only the standard library and ``_common``; each
+command imports the numerical layers it uses when it runs, so ``--help``,
+``dump-config`` and a rejected configuration never load numpy.
 """
 from __future__ import annotations
 
@@ -22,26 +26,13 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
+from typing import TYPE_CHECKING
 
-from . import sweep as sweep_mod
-from .dynamics import (
-    ProbeParams,
-    UnstableRegimeError,
-    occupation_from_temperature,
-    prepare,
-)
-from .metrology import (
-    SIGNAL_CONSISTENT,
-    SIGNAL_VARIANTS,
-    UndetectableForceError,
-    decoherence_budget,
-    phi_opt,
-)
-from .oracle import (
-    IntegrationDivergedError,
-    full_model_deviation,
-    verify_closed_forms,
-)
+from ._common import SIGNAL_CONSISTENT, SIGNAL_VARIANTS, DomainError
+
+if TYPE_CHECKING:
+    from .dynamics import ProbeParams
+    from .sweep import SweepSpec
 
 __all__ = ["ConfigError", "RunConfig", "build_parser", "main"]
 
@@ -199,6 +190,8 @@ def build_config(args: argparse.Namespace, environ=None) -> RunConfig:
 
 def _resolve_n_th(cfg: RunConfig) -> float:
     if cfg.temperature is not None:
+        from .dynamics import occupation_from_temperature
+
         return occupation_from_temperature(
             cfg.temperature, cfg.omega, hbar_over_kb=cfg.hbar_over_kb
         )
@@ -207,6 +200,8 @@ def _resolve_n_th(cfg: RunConfig) -> float:
 
 def _resolve_phi(cfg: RunConfig, tau_scaled: float) -> float:
     if cfg.phi == "opt":
+        from .metrology import phi_opt
+
         return phi_opt(tau_scaled)
     return float(cfg.phi)
 
@@ -226,6 +221,8 @@ def _parse_ratio_list(cfg: RunConfig) -> tuple[float, ...]:
 
 def _probe_params(cfg: RunConfig) -> ProbeParams:
     """Resolve the entangler parametrization; exactly one route is allowed."""
+    from .dynamics import ProbeParams
+
     n_th = _resolve_n_th(cfg)
     routes = [
         cfg.r is not None,
@@ -266,17 +263,26 @@ def _g(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def _write_lines(key: str, path: str, lines: list[str]) -> None:
+    """Write an output file; a path that cannot be written is an error in setting ``key``."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {key} {path}: {exc.strerror}") from None
+
+
 def _write_csv(path: str, axis: str, rows) -> None:
     """Write sweep rows (a record array from ``sweep.fmin_points``) as CSV."""
     columns = (rows[axis], rows.ratio, rows.phi, rows.signal, rows.noise, rows.f_min, rows.f_sql)
     row_format = ",".join(["%.12g"] * len(columns))
     lines = ["axis,r,phi_opt,signal,noise,f_min,f_sql"]
     lines += [row_format % values for values in zip(*(c.tolist() for c in columns))]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines("out", path, lines)
 
 
-def _write_gnuplot(path: str, csv_path: str, spec: sweep_mod.SweepSpec) -> None:
+def _write_gnuplot(path: str, csv_path: str, spec: SweepSpec) -> None:
+    """Plot f_min per ratio; each filter literal is the ratio as the CSV writes it."""
     lines = [
         "set datafile separator ','",
         f"set xlabel '{spec.axis}'",
@@ -285,22 +291,23 @@ def _write_gnuplot(path: str, csv_path: str, spec: sweep_mod.SweepSpec) -> None:
     ]
     if spec.log_spaced:
         lines.append("set logscale x")
+    data = "'" + csv_path.replace("'", "''") + "'"
     plots = [
-        f"'{csv_path}' using 1:($2=={ratio:g}?$6:1/0) with lines title 'r={ratio:g}'"
+        f"{data} using 1:($2=={_g(ratio)}?$6:1/0) with lines title 'r={_g(ratio)}'"
         for ratio in spec.ratios
     ]
     if spec.include_sql:
-        first = spec.ratios[0]
         plots.append(
-            f"'{csv_path}' using 1:($2=={first:g}?$7:1/0) "
+            f"{data} using 1:($2=={_g(spec.ratios[0])}?$7:1/0) "
             "with lines dashtype 2 title 'SQL'"
         )
     lines.append("plot \\\n  " + ", \\\n  ".join(plots))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines("gnuplot", path, lines)
 
 
 def cmd_entangle(cfg: RunConfig) -> int:
+    from .dynamics import prepare
+
     p = _probe_params(cfg)
     out = prepare(p)
     rep = out.report
@@ -316,6 +323,8 @@ def cmd_entangle(cfg: RunConfig) -> int:
     print(f"squeeze margin          = {_g(rep.squeeze_margin)}")
     print(f"entangled               = {'yes' if rep.entangled else 'no'}")
     if cfg.full_model:
+        from .oracle import full_model_deviation
+
         dev, delta = full_model_deviation(p, cfg.step)
         print(
             f"full-model deviation    = {dev:.3e} "
@@ -324,7 +333,9 @@ def cmd_entangle(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _run_sweep(cfg: RunConfig, base: sweep_mod.SweepSpec, default_out: str) -> int:
+def _run_sweep(cfg: RunConfig, base: SweepSpec, default_out: str) -> int:
+    from .sweep import fmin_curve
+
     overrides = {
         "kappa": cfg.kappa,
         "tau_scaled": cfg.tau_scaled,
@@ -339,7 +350,7 @@ def _run_sweep(cfg: RunConfig, base: sweep_mod.SweepSpec, default_out: str) -> i
     if cfg.axis_hi is not None:
         overrides["hi"] = cfg.axis_hi
     spec = replace(base, **overrides)
-    rows = sweep_mod.fmin_curve(spec)
+    rows = fmin_curve(spec)
     out_path = cfg.out or default_out
     _write_csv(out_path, spec.axis, rows)
     print(f"wrote {len(rows)} rows to {out_path}")
@@ -350,15 +361,21 @@ def _run_sweep(cfg: RunConfig, base: sweep_mod.SweepSpec, default_out: str) -> i
 
 
 def cmd_fig1(cfg: RunConfig) -> int:
-    return _run_sweep(cfg, sweep_mod.fig1_spec(), "fig1.csv")
+    from .sweep import fig1_spec
+
+    return _run_sweep(cfg, fig1_spec(), "fig1.csv")
 
 
 def cmd_fig2(cfg: RunConfig) -> int:
-    return _run_sweep(cfg, sweep_mod.fig2_spec(), "fig2.csv")
+    from .sweep import fig2_spec
+
+    return _run_sweep(cfg, fig2_spec(), "fig2.csv")
 
 
 def cmd_fmin(cfg: RunConfig) -> int:
-    point = sweep_mod.fmin_points(
+    from .sweep import fmin_points
+
+    point = fmin_points(
         cfg.tau_scaled,
         cfg.kappa,
         cfg.r if cfg.r is not None else 1.0,
@@ -375,8 +392,10 @@ def cmd_fmin(cfg: RunConfig) -> int:
 
 
 def cmd_optimize_kappa(cfg: RunConfig) -> int:
+    from .sweep import optimal_kappa
+
     ratio = cfg.r if cfg.r is not None else 1.0
-    best = sweep_mod.optimal_kappa(
+    best = optimal_kappa(
         cfg.tau_scaled,
         ratio,
         _resolve_n_th(cfg),
@@ -388,6 +407,8 @@ def cmd_optimize_kappa(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    from .oracle import verify_closed_forms
+
     report = verify_closed_forms(
         tolerance=cfg.tolerance,
         include_printed_signal=cfg.include_printed_signal,
@@ -404,6 +425,9 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_budget(cfg: RunConfig) -> int:
+    from .dynamics import ProbeParams
+    from .metrology import decoherence_budget
+
     p = ProbeParams(
         omega=cfg.omega, n_th=_resolve_n_th(cfg), gamma_mech=cfg.gamma_mech
     )
@@ -476,10 +500,10 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         return args.func(cfg)
-    except (UnstableRegimeError, UndetectableForceError, IntegrationDivergedError) as exc:
+    except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._common import DomainError
 from .gaussian import CovarianceMatrix, VACUUM_VARIANCE
 
 __all__ = [
@@ -36,7 +37,7 @@ __all__ = [
 ]
 
 
-class UnstableRegimeError(ValueError):
+class UnstableRegimeError(DomainError, ValueError):
     """The coupling drives the relative mode unstable (imaginary frequency)."""
 
 

@@ -19,6 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._common import SIGNAL_CONSISTENT, SIGNAL_PRINTED, SIGNAL_VARIANTS, DomainError
+
 __all__ = [
     "SIGNAL_CONSISTENT",
     "SIGNAL_PRINTED",
@@ -35,12 +37,8 @@ __all__ = [
     "decoherence_budget",
 ]
 
-SIGNAL_CONSISTENT = "consistent"
-SIGNAL_PRINTED = "printed"
-SIGNAL_VARIANTS = (SIGNAL_CONSISTENT, SIGNAL_PRINTED)
 
-
-class UndetectableForceError(ValueError):
+class UndetectableForceError(DomainError, ValueError):
     """The signal transfer vanishes, so no force resolves at this setting."""
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._common import DomainError
 from .dynamics import (
     ProbeParams,
     coupling_strength,
@@ -61,7 +62,7 @@ __all__ = [
 ]
 
 
-class IntegrationDivergedError(RuntimeError):
+class IntegrationDivergedError(DomainError, RuntimeError):
     """The fixed-step integration produced non-finite moments."""
 
 

@@ -148,14 +148,39 @@ def test_fig2_is_log_spaced(tmp_path):
 
 
 def test_fig1_gnuplot_script(tmp_path):
-    out = tmp_path / "curve.csv"
+    out = tmp_path / "it's curve.csv"
     script = tmp_path / "curve.gp"
     proc = run_cli(
-        "fig1", "--points", "4", "--out", str(out), "--gnuplot", str(script)
+        "fig1", "--points", "4", "--r-list", "1.2345678,2", "--out", str(out),
+        "--gnuplot", str(script),
     )
     assert proc.returncode == 0
     text = script.read_text()
-    assert "plot" in text and "curve.csv" in text
+    quoted = "'" + str(out).replace("'", "''") + "'"
+    plots = [l.strip(" ,\\") for l in text.split("plot \\\n", 1)[1].splitlines()]
+    assert len(plots) == 3 and all(l.startswith(quoted + " using 1:") for l in plots)
+    # every filter literal is the r text of some CSV row, so no curve comes out empty
+    csv_ratios = {line.split(",")[1] for line in out.read_text().splitlines()[1:]}
+    literals = [l.split("$2==", 1)[1].split("?", 1)[0] for l in plots]
+    assert literals == ["1.2345678", "2", "1.2345678"]
+    assert set(literals) <= csv_ratios
+    assert "title 'r=1.2345678'" in plots[0]
+
+
+@pytest.mark.parametrize(
+    "args, key",
+    [
+        (("fig1", "--points", "4", "--out", "{bad}/x.csv"), "out"),
+        (("fmin", "--out", "{bad}/x.csv"), "out"),
+        (("fig1", "--points", "4", "--out", "{tmp}/x.csv", "--gnuplot", "{bad}/x.gp"), "gnuplot"),
+    ],
+)
+def test_unwritable_output_is_config_error(tmp_path, args, key):
+    bad = tmp_path / "no" / "such" / "dir"
+    proc = run_cli(*(a.format(bad=bad, tmp=tmp_path) for a in args))
+    assert proc.returncode == 2
+    assert f"config error: cannot write {key} {bad}/x." in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_csv_determinism(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinprobe.dynamics import (
     ProbeParams,
@@ -77,15 +79,40 @@ def test_transfer_momentum_rows_are_position_derivatives():
             assert np.max(np.abs(transfer_matrix(p, t)[[1, 3], :] - deriv)) < 1e-8
 
 
-def test_transfer_is_symplectic():
+@settings(max_examples=80, deadline=None)
+@given(
+    omega=st.floats(0.1, 10.0),
+    route=st.sampled_from(["ratio", "coupling_chi"]),
+    strength=st.floats(0.0, 1.0),
+    t_periods=st.floats(0.0, 10.0),
+)
+def test_transfer_is_symplectic(omega, route, strength, t_periods):
     j = np.zeros((4, 4))
     j[0, 1] = j[2, 3] = 1.0
     j[1, 0] = j[3, 2] = -1.0
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        p = ProbeParams.from_squeeze_ratio(1.0, rng.uniform(1.0, 10.0))
-        m = transfer_matrix(p, rng.uniform(0.0, 10.0))
-        assert np.max(np.abs(m @ j @ m.T - j)) < 1e-10
+    if route == "ratio":
+        p = ProbeParams.from_squeeze_ratio(omega, 1.0 + 9.0 * strength)
+    else:
+        # composite coupling from the softest stable spring, -0.45 omega, up to 50 omega
+        p = ProbeParams.from_coupling(omega, omega * (-0.45 + 50.45 * strength))
+    m = transfer_matrix(p, 2.0 * math.pi * t_periods / relative_mode_frequency(p))
+    assert np.max(np.abs(m @ j @ m.T - j)) < 1e-10
+
+
+@settings(max_examples=80, deadline=None)
+@given(ratio=st.floats(1.0, 50.0), n_th=st.floats(0.0, 100.0), phi=st.floats(-math.pi, math.pi))
+def test_returned_covariances_are_physical(ratio, n_th, phi):
+    entangled = entangled_covariance(ratio, n_th)
+    states = [
+        thermal_covariance(n_th),
+        entangled,
+        rotate(entangled, phi),
+        rotate(thermal_covariance(n_th), phi),
+        prepare(ProbeParams.from_squeeze_ratio(1.0, ratio, n_th=n_th)).covariance,
+    ]
+    for c in states:
+        report = validate(c)
+        assert report.passed, report.failures
 
 
 def test_transfer_at_switchoff_reproduces_entangled_covariance():

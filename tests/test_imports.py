@@ -1,0 +1,127 @@
+"""Which modules each entry point loads, and the package's lazy exports.
+
+These tests check module footprints, not timings.
+"""
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import twinprobe
+
+SRC = str(Path(twinprobe.__file__).resolve().parent.parent)
+
+# the package's public names, as listed before the exports became lazy
+PUBLIC_NAMES = {
+    "CovarianceMatrix", "DecoherenceBudget", "EntanglementReport", "EntanglerOutput",
+    "IntegrationDivergedError", "KappaOptimum", "LinearSystem", "MeterParams",
+    "ProbeParams", "QuadratureVector", "SIGNAL_CONSISTENT", "SIGNAL_PRINTED", "SweepSpec",
+    "UndetectableForceError", "UnstableRegimeError", "ValidationReport",
+    "VerificationReport", "VerifyGrid", "build_entangler_system",
+    "build_measurement_system", "congruence", "decoherence_budget", "direct_sum",
+    "entangled_covariance", "f_min", "fig1_spec", "fig2_spec", "fmin_curve",
+    "full_model_deviation", "hamiltonian_defect", "integrate_moments", "is_entangled",
+    "noise", "occupation_from_temperature", "optimal_kappa", "phi_opt", "prepare",
+    "relative_mode_frequency", "rotate", "signal_coeff", "sql", "squeeze_ratio",
+    "thermal_covariance", "transfer_matrix", "vacuum", "validate", "verify_closed_forms",
+    "__version__",
+}
+
+_REPORT_MODULES = """
+import contextlib, io, json, sys
+from twinprobe import cli
+argv = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+def _python(code, *args, cwd):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, cwd=cwd
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _modules_after_main(argv, cwd):
+    report = json.loads(_python(_REPORT_MODULES, json.dumps(argv), cwd=cwd))
+    return report["code"], set(report["modules"])
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--help"], 0),
+        (["dump-config"], 0),
+        (["dump-config", "--config", "typo.cfg"], 2),
+    ],
+)
+def test_front_end_loads_no_numpy(tmp_path, argv, code):
+    (tmp_path / "typo.cfg").write_text("kapa = 1\n")
+    got, modules = _modules_after_main(argv, tmp_path)
+    assert got == code
+    assert "numpy" not in modules
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entangle", "--r", "2"],
+        ["fmin"],
+        ["optimize-kappa"],
+        ["budget"],
+        ["fig1", "--points", "4"],
+    ],
+)
+def test_closed_form_commands_skip_the_oracle(tmp_path, argv):
+    code, modules = _modules_after_main(argv, tmp_path)
+    assert code == 0
+    assert "numpy" in modules
+    assert "twinprobe.oracle" not in modules
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify"], ["entangle", "--r", "2", "--full-model", "--delta", "100"]]
+)
+def test_oracle_commands_load_the_oracle(tmp_path, argv):
+    code, modules = _modules_after_main(argv, tmp_path)
+    assert code == 0
+    assert "twinprobe.oracle" in modules
+
+
+def test_bare_import_loads_no_numpy(tmp_path):
+    out = _python("import sys, twinprobe; print('numpy' in sys.modules)", cwd=tmp_path)
+    assert out.strip() == "False"
+
+
+def test_exports_resolve_to_their_home_modules():
+    assert set(twinprobe.__all__) == PUBLIC_NAMES
+    for name in twinprobe.__all__:
+        if name == "__version__":
+            continue
+        module = importlib.import_module(f"twinprobe.{twinprobe._HOME[name]}")
+        assert getattr(twinprobe, name) is getattr(module, name), name
+        assert name in module.__all__, name
+
+
+def test_star_import_and_unknown_names():
+    namespace = {}
+    exec("from twinprobe import *", namespace)
+    assert set(namespace) - {"__builtins__"} == PUBLIC_NAMES
+    from twinprobe import cli, oracle
+
+    assert twinprobe.cli is cli and twinprobe.oracle is oracle
+    with pytest.raises(AttributeError):
+        twinprobe.no_such_name
+    with pytest.raises(ImportError):
+        exec("from twinprobe import no_such_name", {})
