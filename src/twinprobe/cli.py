@@ -43,6 +43,13 @@ EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
 
+# Largest grid a sweep accepts: its record array is 72 bytes per row, one
+# row per point and squeeze ratio.
+MAX_POINTS = 10**6
+# Largest magnitude of r, of an r_list entry and of kappa.  The closed forms
+# take ratio**2 and kappa**4, which then stay far inside the float range.
+MAX_SCALE = 1e50
+
 
 class ConfigError(ValueError):
     """Invalid or contradictory configuration input."""
@@ -184,6 +191,12 @@ def build_config(args: argparse.Namespace, environ=None) -> RunConfig:
             raise ConfigError(f"phi must be 'opt' or a finite number, got {cfg.phi!r}")
     if cfg.jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {cfg.jobs}")
+    if cfg.points > MAX_POINTS:
+        raise ConfigError(f"points must be at most {MAX_POINTS}, got {cfg.points}")
+    for key in ("r", "kappa"):
+        value = getattr(cfg, key)
+        if value is not None and abs(value) > MAX_SCALE:
+            raise ConfigError(f"{key} must be at most {MAX_SCALE:g} in magnitude, got {value!r}")
     _parse_ratio_list(cfg)
     return cfg
 
@@ -216,6 +229,10 @@ def _parse_ratio_list(cfg: RunConfig) -> tuple[float, ...]:
         raise ConfigError(f"r_list must be comma-separated numbers, got {cfg.r_list!r}") from None
     if not all(map(math.isfinite, ratios)):
         raise ConfigError(f"r_list entries must be finite, got {cfg.r_list!r}")
+    if any(abs(ratio) > MAX_SCALE for ratio in ratios):
+        raise ConfigError(
+            f"r_list entries must be at most {MAX_SCALE:g} in magnitude, got {cfg.r_list!r}"
+        )
     return ratios
 
 
@@ -263,22 +280,41 @@ def _g(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _write_lines(key: str, path: str, lines: list[str]) -> None:
-    """Write an output file; a path that cannot be written is an error in setting ``key``."""
+def _write_chunks(key: str, path: str, chunks) -> None:
+    """Write strings to an output file one after another.
+
+    A path that cannot be written is an error in setting ``key``.
+    """
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.writelines(chunks)
     except OSError as exc:
         raise ConfigError(f"cannot write {key} {path}: {exc.strerror}") from None
 
 
+def _write_lines(key: str, path: str, lines: list[str]) -> None:
+    _write_chunks(key, path, ["\n".join(lines) + "\n"])
+
+
+# Rows formatted per write: the writer's memory depends on this, not on the
+# row count.
+CSV_BLOCK_ROWS = 4096
+
+
+def _csv_blocks(axis: str, rows):
+    """The CSV text of a record array, one string per block of rows."""
+    names = (axis, "ratio", "phi", "signal", "noise", "f_min", "f_sql")
+    row_format = ",".join(["%.12g"] * len(names)) + "\n"
+    yield "axis,r,phi_opt,signal,noise,f_min,f_sql\n"
+    for start in range(0, len(rows), CSV_BLOCK_ROWS):
+        block = rows[start : start + CSV_BLOCK_ROWS]
+        columns = [block[name].tolist() for name in names]
+        yield "".join([row_format % values for values in zip(*columns)])
+
+
 def _write_csv(path: str, axis: str, rows) -> None:
     """Write sweep rows (a record array from ``sweep.fmin_points``) as CSV."""
-    columns = (rows[axis], rows.ratio, rows.phi, rows.signal, rows.noise, rows.f_min, rows.f_sql)
-    row_format = ",".join(["%.12g"] * len(columns))
-    lines = ["axis,r,phi_opt,signal,noise,f_min,f_sql"]
-    lines += [row_format % values for values in zip(*(c.tolist() for c in columns))]
-    _write_lines("out", path, lines)
+    _write_chunks("out", path, _csv_blocks(axis, rows))
 
 
 def _write_gnuplot(path: str, csv_path: str, spec: SweepSpec) -> None:
@@ -481,7 +517,13 @@ _COMMANDS = [
 ]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command line parser.
+
+    Every subcommand is listed, so the top-level help and the invalid-choice
+    message name all of them; only ``command`` gets the configuration flags,
+    or every subcommand when ``command`` is None.
+    """
     parser = argparse.ArgumentParser(
         prog="twinprobe",
         description="Force sensing with a pair of entangled mechanical probes.",
@@ -489,14 +531,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name, fn, help_text in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        _add_config_flags(p)
+        if command is None or name == command:
+            _add_config_flags(p)
         p.set_defaults(func=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top-level parser takes no option with a value, so the first word
+    # that is not an option names the subcommand.
+    command = next((word for word in argv if not word.startswith("-")), "")
+    args = build_parser(command).parse_args(argv)
     try:
         cfg = build_config(args)
         return args.func(cfg)

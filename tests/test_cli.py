@@ -3,11 +3,17 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
+from twinprobe import cli
 from twinprobe.cli import RunConfig
+from twinprobe.metrology import phi_opt
+from twinprobe.sweep import fig1_spec, fmin_curve, fmin_points
 
 PI = math.pi
 
@@ -23,6 +29,22 @@ def run_cli(*args, env_extra=None, cwd=None):
         env=env,
         cwd=cwd,
     )
+
+
+def run_main(monkeypatch, capsys, *args):
+    """Run ``cli.main`` in this process with warnings as errors.
+
+    Returns the exit code and the captured stdout and stderr; an exception
+    or a warning escaping ``main`` fails the test.
+    """
+    for name in list(os.environ):
+        if name.startswith(cli.ENV_PREFIX):
+            monkeypatch.delenv(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(list(args))
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 def stdout_value(proc, key):
@@ -389,3 +411,118 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "f_min" in proc.stdout
+
+
+B = cli.CSV_BLOCK_ROWS
+
+
+def one_shot_csv(axis, rows):
+    """The CSV text as a single join of every row, the writer's reference."""
+    columns = (rows[axis], rows.ratio, rows.phi, rows.signal, rows.noise, rows.f_min, rows.f_sql)
+    row_format = ",".join(["%.12g"] * len(columns))
+    lines = ["axis,r,phi_opt,signal,noise,f_min,f_sql"]
+    lines += [row_format % values for values in zip(*(c.tolist() for c in columns))]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("include_sql", [True, False])
+@pytest.mark.parametrize("axis", ["tau_scaled", "kappa"])
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 7])
+def test_csv_block_writer_matches_one_shot_join(tmp_path, n, axis, include_sql):
+    grid = np.linspace(0.05, 2 * PI, n) if n > 1 else np.array([1.2])
+    tau = grid if axis == "tau_scaled" else PI / 2
+    kappa = grid if axis == "kappa" else 0.8
+    ratio = np.resize([1.0, 2.5, 10.0], n)
+    rows = fmin_points(
+        tau, kappa, ratio, 20.0, phi_opt(tau), include_sql=include_sql
+    )
+    assert len(rows) == n
+    out = tmp_path / "rows.csv"
+    cli._write_csv(str(out), axis, rows)
+    assert out.read_bytes() == one_shot_csv(axis, rows)
+
+
+def test_csv_block_writer_memory_does_not_grow_with_rows(tmp_path):
+    rows = fmin_curve(fig1_spec(points=20000, ratios=(1.3, 4.2, 8.8)))
+    out = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        cli._write_csv(str(out), "tau_scaled", rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The one-shot join peaked at ~21 MB here; one block of rows is ~2 MB.
+    assert peak < 4e6
+    assert out.read_bytes().count(b"\n") == 1 + 60000
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("fig1", "--points", "1000001"),
+        ("fig2", "--points", str(10**12)),
+        ("dump-config", "--points", "1000001"),
+    ],
+)
+def test_points_cap_is_config_error(monkeypatch, capsys, tmp_path, args):
+    tracemalloc.start()
+    try:
+        code, out, err = run_main(monkeypatch, capsys, *args, "--out", str(tmp_path / "x.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "config error: points must be at most 1000000" in err
+    assert out == "" and not (tmp_path / "x.csv").exists()
+    assert peak < 1e6  # rejected before any grid is allocated
+
+
+def test_points_cap_accepts_the_cap(monkeypatch, capsys):
+    code, out, _ = run_main(monkeypatch, capsys, "dump-config", "--points", "1000000")
+    assert code == 0 and "points = 1000000" in out
+
+
+@pytest.mark.parametrize(
+    "args, key",
+    [
+        (("entangle", "--r", "1e200"), "r"),
+        (("fmin", "--r", "1e200"), "r"),
+        (("fmin", "--kappa", "1e200"), "kappa"),
+        (("optimize-kappa", "--r", "1e200"), "r"),
+        (("fig1", "--points", "4", "--r-list", "1,1e200"), "r_list"),
+        (("fig2", "--points", "4", "--kappa", "1e200"), "kappa"),
+    ],
+)
+def test_overflowing_setting_is_config_error(monkeypatch, capsys, tmp_path, args, key):
+    code, out, err = run_main(monkeypatch, capsys, *args, "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert err.startswith(f"config error: {key} ")
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("entangle", "--r", "1e50"),
+        ("fmin", "--r", "1e50", "--kappa", "1e50"),
+        ("optimize-kappa", "--r", "1e50"),
+        ("fig1", "--points", "4", "--r-list", "1,1e50", "--kappa", "1e50"),
+        ("fig2", "--points", "4", "--r-list", "1e50"),
+    ],
+)
+def test_largest_accepted_scale_stays_finite(monkeypatch, capsys, tmp_path, args):
+    out_csv = tmp_path / "x.csv"
+    code, out, err = run_main(monkeypatch, capsys, *args, "--out", str(out_csv))
+    assert code == 0 and err == ""
+    text = out + (out_csv.read_text() if out_csv.exists() else "")
+    assert "inf" not in text and "nan" not in text
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [[name, "--help"] for name, *_ in cli._COMMANDS])
+def test_parser_for_one_command_prints_the_same_help(capsys, argv):
+    texts = []
+    for parser in (cli.build_parser(), cli.build_parser(argv[0])):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] and "usage: twinprobe" in texts[0]
