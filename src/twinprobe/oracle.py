@@ -6,7 +6,10 @@ module builds the drift/drive pairs for the entangling stage (with and
 without adiabatic elimination of the cavity) and for the readout stage,
 integrates the moments with a fixed-step classical Runge-Kutta scheme,
 and checks the closed-form transfer matrix, switch-off covariance, and
-readout signal/noise against the integrated values.
+readout signal/noise against the integrated values.  Each check builds
+its per-case errors and step-halving differences as arrays (the readout
+in one broadcast pass over kappa, tau, ratio, n_th and phi), and one
+function turns them into its CheckResult.
 
 One RK4 step of v' = A v is the matrix polynomial P(hA), so n steps are
 P(hA)^n, computed by repeated squaring (``propagator``).  The drive is an
@@ -28,24 +31,18 @@ from .dynamics import (
     ProbeParams,
     coupling_strength,
     entangled_covariance,
+    mode_rotation,
     prepare,
     relative_mode_frequency,
-    rotate,
     thermal_covariance,
     transfer_matrix,
 )
-from .gaussian import CovarianceMatrix, QuadratureVector, direct_sum, vacuum
-from .metrology import (
-    SIGNAL_CONSISTENT,
-    SIGNAL_PRINTED,
-    MeterParams,
-    noise,
-    phi_opt,
-    signal_coeff,
-)
+from .gaussian import VACUUM_VARIANCE, CovarianceMatrix, QuadratureVector, direct_sum, vacuum
+from .metrology import SIGNAL_PRINTED, MeterParams, noise, phi_opt, signal_coeff
 
 __all__ = [
     "MAX_STEPS",
+    "ENTANGLER_TOLERANCE",
     "IntegrationDivergedError",
     "LinearSystem",
     "VerifyGrid",
@@ -320,6 +317,8 @@ def full_model_deviation(p: ProbeParams, step: float | None = None) -> tuple[flo
 
 # -- closed-form verification -------------------------------------------------
 
+# relative tolerance of the transfer-matrix and switch-off-covariance checks
+ENTANGLER_TOLERANCE = 1e-8
 _TAU_GRID = tuple(k * math.pi / 4.0 for k in range(1, 9))
 
 
@@ -371,152 +370,148 @@ class VerificationReport:
         return [c.summary() for c in self.checks]
 
 
-class _Tracker:
-    """Accumulates comparison errors and failure descriptions."""
-
-    def __init__(self, tolerance: float) -> None:
-        self.tolerance = tolerance
-        self.points = 0
-        self.max_err = 0.0
-        self.worst = ""
-        self.guard_margin = 0.0
-        self.failures: list[str] = []
-
-    def add(self, err: float, case: str) -> None:
-        self.points += 1
-        if err > self.max_err:
-            self.max_err = err
-            self.worst = case
-        if err > self.tolerance:
-            self.failures.append(f"{case}: rel_err={err:.3e}")
-
-    def guard(self, diff: float, case: str) -> None:
-        # step-halving robustness: h vs h/2 must agree well below tolerance
-        self.guard_margin = max(self.guard_margin, diff)
-        if diff > self.tolerance / 10.0:
-            self.failures.append(f"{case}: step robustness {diff:.3e}")
-
-    def result(self, name: str) -> CheckResult:
-        return CheckResult(
-            name=name,
-            points=self.points,
-            max_rel_error=self.max_err,
-            worst_case=self.worst,
-            passed=not self.failures,
-            failures=tuple(self.failures),
-            guard_margin=self.guard_margin,
-        )
+def _rel(value: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Largest deviation over the last two axes, relative to max(1, |reference|)."""
+    scale = np.maximum(1.0, np.max(np.abs(reference), axis=(-2, -1)))
+    return np.max(np.abs(value - reference), axis=(-2, -1)) / scale
 
 
-def _rel(value: np.ndarray, reference: np.ndarray) -> float:
-    scale = max(1.0, float(np.max(np.abs(reference))))
-    return float(np.max(np.abs(value - reference))) / scale
+def _result(
+    name: str,
+    tolerance: float,
+    cases: list[str],
+    diffs,
+    errors,
+    labels: tuple[str, ...] = ("",),
+    informational: bool = False,
+) -> CheckResult:
+    """One comparison family's result from per-case arrays, in grid order.
+
+    Each case has a step-halving (h vs h/2) difference in ``diffs``, which
+    fails above tolerance/10 and is reported before the case's errors,
+    and one row of relative errors, one per suffix in ``labels``.
+    """
+    diffs = np.asarray(diffs, dtype=float)
+    errors = np.reshape(np.asarray(errors, dtype=float), (len(cases), len(labels)))
+    failures = []
+    for case, diff, row in zip(cases, diffs.tolist(), errors.tolist()):
+        if not diff <= tolerance / 10.0:
+            failures.append(f"{case}: step robustness {diff:.3e}")
+        failures += [
+            f"{case}{label}: rel_err={err:.3e}"
+            for label, err in zip(labels, row)
+            if not err <= tolerance
+        ]
+    # a leading zero leaves the worst case empty unless some error exceeds it
+    flat = np.concatenate(([0.0], errors.ravel()))
+    top = int(np.argmax(flat))
+    case, label = divmod(top - 1, len(labels))
+    return CheckResult(
+        name=name,
+        points=errors.size,
+        max_rel_error=float(flat[top]),
+        worst_case=cases[case] + labels[label] if top else "",
+        passed=not failures,
+        informational=informational,
+        failures=tuple(failures),
+        samples=tuple(zip(cases, errors[:, 0].tolist())) if informational else (),
+        guard_margin=float(np.max(diffs, initial=0.0)),
+    )
 
 
-def _check_transfer(grid: VerifyGrid, tolerance: float) -> CheckResult:
-    tracker = _Tracker(tolerance)
+def _check_transfer(grid: VerifyGrid) -> CheckResult:
+    cases, diffs, errors = [], [], []
     for ratio in grid.ratios:
         p = ProbeParams.from_squeeze_ratio(1.0, ratio)
-        system = build_entangler_system(p)
-        theta = relative_mode_frequency(p)
-        step = (2.0 * math.pi / theta) / 2048.0
+        drift = build_entangler_system(p).drift
+        step = (2.0 * math.pi / relative_mode_frequency(p)) / 2048.0
         for t in grid.transfer_times:
-            case = f"ratio={ratio:g} t={t:g}"
-            m_h = propagator(system.drift, (t,), step)[0]
-            m_fine = propagator(system.drift, (t,), step / 2.0)[0]
-            tracker.guard(_rel(m_h, m_fine), case)
-            tracker.add(_rel(m_fine, transfer_matrix(p, t)), case)
-    return tracker.result("entangler-transfer")
+            m_h, m_fine = (propagator(drift, (t,), h)[0] for h in (step, step / 2.0))
+            cases.append(f"ratio={ratio:g} t={t:g}")
+            diffs.append(_rel(m_h, m_fine))
+            errors.append(_rel(m_fine, transfer_matrix(p, t)))
+    return _result("entangler-transfer", ENTANGLER_TOLERANCE, cases, diffs, errors)
 
 
-def _check_covariance(grid: VerifyGrid, tolerance: float) -> CheckResult:
-    tracker = _Tracker(tolerance)
+def _check_covariance(grid: VerifyGrid) -> CheckResult:
+    cases, diffs, errors = [], [], []
     for ratio in grid.ratios:
         for n_th in grid.n_ths:
-            case = f"ratio={ratio:g} n_th={n_th:g}"
             p = ProbeParams.from_squeeze_ratio(1.0, ratio, n_th=n_th)
             system = build_entangler_system(p)
             theta = relative_mode_frequency(p)
-            t_star = math.pi / (2.0 * theta)
             step = (2.0 * math.pi / theta) / 2048.0
             c0 = thermal_covariance(n_th)
-            _, c_h = integrate_moments(system, None, c0, 0.0, t_star, step)
-            _, c_fine = integrate_moments(system, None, c0, 0.0, t_star, step / 2.0)
-            tracker.guard(_rel(c_h.matrix, c_fine.matrix), case)
-            target = entangled_covariance(ratio, n_th)
-            tracker.add(_rel(c_fine.matrix, target.matrix), case)
-    return tracker.result("switch-off-covariance")
+            c_h, c_fine = (
+                integrate_moments(system, None, c0, 0.0, math.pi / (2.0 * theta), h)[1].matrix
+                for h in (step, step / 2.0)
+            )
+            cases.append(f"ratio={ratio:g} n_th={n_th:g}")
+            diffs.append(_rel(c_h, c_fine))
+            errors.append(_rel(c_fine, entangled_covariance(ratio, n_th).matrix))
+    return _result("switch-off-covariance", ENTANGLER_TOLERANCE, cases, diffs, errors)
 
 
 def _check_readout(
     grid: VerifyGrid, tolerance: float, include_printed_signal: bool
 ) -> list[CheckResult]:
-    tracker = _Tracker(tolerance)
-    printed_samples: list[tuple[str, float]] = []
-    printed_worst = (0.0, "")
     taus = tuple(sorted(grid.taus))
-    weight = np.zeros(9)
-    weight[5] = weight[7] = 1.0  # Y1 + Y2 in the augmented ordering
+    cases = [f"kappa={k:g} tau_scaled={t:.6g}" for k in grid.kappas for t in taus]
+    labels = (" signal",) + tuple(
+        f" ratio={r:g} n_th={n:g} phi={mode} noise"
+        for r in grid.ratios
+        for n in grid.n_ths
+        for mode in grid.phi_modes
+    )
+    # (kappa, tau, 9, 9) propagators of the readout with a unit force column
     step = math.pi / 2048.0
-    for kappa in grid.kappas:
-        system = build_measurement_system(
-            MeterParams(kappa=kappa, tau_scaled=taus[0]), force=1.0
-        )
-        aug = system.augmented(1.0)
-        snaps = propagator(aug, taus, step)
-        snaps_fine = propagator(aug, taus, step / 2.0)
-        for tau, x_h, x_fine in zip(taus, snaps, snaps_fine):
-            case = f"kappa={kappa:g} tau_scaled={tau:.6g}"
-            tracker.guard(_rel(x_h, x_fine), case)
-            prop = x_fine[:8, :8]
-            s_oracle = float(weight[:8] @ x_fine[:8, 8])
-            s_closed = signal_coeff(
-                MeterParams(kappa=kappa, tau_scaled=tau, signal_variant=SIGNAL_CONSISTENT)
-            )
-            tracker.add(abs(s_oracle - s_closed) / abs(s_closed), f"{case} signal")
-            if include_printed_signal:
-                s_printed = signal_coeff(
-                    MeterParams(
-                        kappa=kappa, tau_scaled=tau, signal_variant=SIGNAL_PRINTED
-                    )
-                )
-                err = abs(s_printed - s_oracle) / abs(s_oracle)
-                printed_samples.append((case, err))
-                if err > printed_worst[0]:
-                    printed_worst = (err, case)
-            v = prop.T @ weight[:8]
-            for ratio in grid.ratios:
-                for n_th in grid.n_ths:
-                    for mode in grid.phi_modes:
-                        phi = phi_opt(tau) if mode == "opt" else 0.0
-                        c0 = direct_sum(
-                            rotate(entangled_covariance(ratio, n_th), phi), vacuum(2)
-                        )
-                        n_oracle = float(v @ c0.matrix @ v)
-                        n_closed = noise(
-                            MeterParams(kappa=kappa, tau_scaled=tau, phi=phi),
-                            ratio,
-                            n_th,
-                        )
-                        tracker.add(
-                            abs(n_oracle - n_closed) / abs(n_closed),
-                            f"{case} ratio={ratio:g} n_th={n_th:g} phi={mode} noise",
-                        )
-    results = [tracker.result("readout-moments")]
+    drifts = [
+        build_measurement_system(MeterParams(kappa=k, tau_scaled=0.0)).augmented(1.0)
+        for k in grid.kappas
+    ]
+    shape = (len(drifts), len(taus), 9, 9)
+    x_h, x_fine = (
+        np.reshape([propagator(a, taus, h) for a in drifts], shape) for h in (step, step / 2.0)
+    )
+    diffs = _rel(x_h, x_fine).ravel()
+    # Y1 + Y2 at tau as a row over the initial (q1, p1, q2, p2, X1, Y1, X2, Y2, f)
+    v = x_fine[..., 5, :] + x_fine[..., 7, :]
+    signal = v[..., 8]
+    # axes (kappa, tau, ratio, n_th, phi mode); the probes start in the
+    # rotated entangled state and the meters in vacuum
+    tau = np.array(taus)
+    phi = np.where([mode == "opt" for mode in grid.phi_modes], phi_opt(tau)[:, None], 0.0)
+    rotations = np.reshape([mode_rotation(a) for a in phi.ravel()], phi.shape + (4, 4))
+    states = np.reshape(
+        [entangled_covariance(r, n).matrix for r in grid.ratios for n in grid.n_ths],
+        (len(grid.ratios), len(grid.n_ths), 4, 4),
+    )
+    probe = v[..., :4]
+    noise_oracle = np.einsum(
+        "kta,tmab,rnbc,tmdc,ktd->ktrnm", probe, rotations, states, rotations, probe,
+        optimize=True,
+    ) + VACUUM_VARIANCE * np.sum(v[..., 4:8] ** 2, axis=-1)[..., None, None, None]
+
+    kappa = np.array(grid.kappas)[:, None]
+    closed_signal = signal_coeff(MeterParams(kappa, tau))
+    closed_noise = noise(
+        MeterParams(kappa[..., None, None, None], tau[:, None, None, None], phi[:, None, None]),
+        np.array(grid.ratios)[:, None, None],
+        np.array(grid.n_ths)[:, None],
+    )
+    noise_err = np.abs(noise_oracle - closed_noise) / np.abs(closed_noise)
+    errors = np.column_stack(
+        [
+            (np.abs(signal - closed_signal) / np.abs(closed_signal)).ravel(),
+            noise_err.reshape(len(cases), len(labels) - 1),
+        ]
+    )
+    results = [_result("readout-moments", tolerance, cases, diffs, errors, labels)]
     if include_printed_signal:
-        mismatched = [f"{case}: rel_err={err:.3e}" for case, err in printed_samples if err > tolerance]
+        printed = signal_coeff(MeterParams(kappa, tau, signal_variant=SIGNAL_PRINTED))
+        errors = np.abs(printed - signal) / np.abs(signal)
         results.append(
-            CheckResult(
-                name="readout-signal-printed",
-                points=len(printed_samples),
-                max_rel_error=printed_worst[0],
-                worst_case=printed_worst[1],
-                passed=not mismatched,
-                informational=True,
-                failures=tuple(mismatched),
-                samples=tuple(printed_samples),
-                guard_margin=tracker.guard_margin,
-            )
+            _result("readout-signal-printed", tolerance, cases, diffs, errors, informational=True)
         )
     return results
 
@@ -525,23 +520,22 @@ def verify_closed_forms(
     grid: VerifyGrid | None = None,
     *,
     tolerance: float = 1e-6,
-    covariance_tolerance: float = 1e-8,
-    transfer_tolerance: float = 1e-8,
     include_printed_signal: bool = False,
 ) -> VerificationReport:
     """Compare every closed form against the moment oracle on a grid.
 
-    Three families are checked: the entangler transfer matrix, the
-    switch-off covariance, and the readout signal/noise (the consistent
-    signal variant).  With ``include_printed_signal`` the alternative
-    "printed" force-transfer convention is also compared and reported as
-    an informational check; it is expected to disagree away from
-    tau_scaled = 2 pi k and does not affect the overall verdict.
+    Three families are checked: the entangler transfer matrix and the
+    switch-off covariance (both to ENTANGLER_TOLERANCE), and the readout
+    signal/noise (the consistent signal variant, to ``tolerance``).  With
+    ``include_printed_signal`` the alternative "printed" force-transfer
+    convention is also compared and reported as an informational check; it
+    is expected to disagree away from tau_scaled = 2 pi k and does not
+    affect the overall verdict.
     """
     grid = grid or VerifyGrid()
     checks = [
-        _check_transfer(grid, transfer_tolerance),
-        _check_covariance(grid, covariance_tolerance),
+        _check_transfer(grid),
+        _check_covariance(grid),
         *_check_readout(grid, tolerance, include_printed_signal),
     ]
     return VerificationReport(tuple(checks))

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._common import DomainError
 from .metrology import (
     SIGNAL_CONSISTENT,
     SIGNAL_VARIANTS,
@@ -113,28 +114,40 @@ def fmin_points(
     The inputs are floats or arrays that broadcast together.  The result is
     a flat, read-only record array with one row per broadcast element, in C
     order, and the fields tau_scaled, kappa, ratio, n_th, phi, signal,
-    noise, f_min and f_sql (nan unless ``include_sql`` is set).
+    noise, f_min and f_sql (nan unless ``include_sql`` is set).  A signal,
+    noise, f_min or f_sql that overflows to inf or nan raises DomainError
+    naming the first such quantity and its point.
     """
     meter = MeterParams(
         kappa=kappa, tau_scaled=tau_scaled, phi=phi, signal_variant=signal_variant
     )
-    columns = {
-        "tau_scaled": tau_scaled,
-        "kappa": kappa,
-        "ratio": ratio,
-        "n_th": n_th,
-        "phi": phi,
-        "signal": signal_coeff(meter),
-        "noise": noise(meter, ratio, n_th),
-        "f_min": f_min(meter, ratio, n_th),
-        "f_sql": sql(meter) if include_sql else math.nan,
-    }
+    # an overflow or 0 * inf surfaces as a non-finite column, refused below
+    with np.errstate(all="ignore"):
+        columns = {
+            "tau_scaled": tau_scaled,
+            "kappa": kappa,
+            "ratio": ratio,
+            "n_th": n_th,
+            "phi": phi,
+            "signal": signal_coeff(meter),
+            "noise": noise(meter, ratio, n_th),
+            "f_min": f_min(meter, ratio, n_th),
+            "f_sql": sql(meter) if include_sql else math.nan,
+        }
     shape = np.broadcast_shapes(*map(np.shape, columns.values()))
     rows = np.empty(shape, [(name, float) for name in columns])
     for name, values in columns.items():
         rows[name] = values
     rows = rows.reshape(-1).view(np.recarray)
     rows.flags.writeable = False
+    for name in ("signal", "noise", "f_min", "f_sql")[: 4 if include_sql else 3]:
+        bad = ~np.isfinite(rows[name])
+        if bad.any():
+            row = rows[np.argmax(bad)]
+            raise DomainError(
+                f"{name} is not finite ({row[name]:g}) at tau_scaled={row.tau_scaled:g}, "
+                f"kappa={row.kappa:g}, ratio={row.ratio:g}, n_th={row.n_th:g}"
+            )
     return rows
 
 
@@ -179,7 +192,8 @@ def optimal_kappa(
     In kappa, f_min**2 = a + b*kappa**2 + c/kappa**2 with
     b/c = 4*(tau_scaled - sin(tau_scaled))**2 for either signal variant, so
     the optimum kappa = 1/sqrt(2*(tau_scaled - sin(tau_scaled))) does not
-    depend on the squeeze ratio, the occupation or the variant.
+    depend on the squeeze ratio, the occupation or the variant.  Its f_min
+    is the ``fmin_points`` row, so a non-finite one raises DomainError.
     """
     if tau_scaled < 0:
         raise ValueError(f"tau_scaled must be nonnegative, got {tau_scaled}")
@@ -189,10 +203,13 @@ def optimal_kappa(
             f"signal transfer vanishes at tau_scaled={tau_scaled}"
         )
     kappa = 1.0 / math.sqrt(2.0 * ramp)
-    meter = MeterParams(
-        kappa=kappa,
-        tau_scaled=tau_scaled,
-        phi=phi_opt(tau_scaled),
+    point = fmin_points(
+        tau_scaled,
+        kappa,
+        ratio,
+        n_th,
+        phi_opt(tau_scaled),
         signal_variant=signal_variant,
+        include_sql=False,
     )
-    return KappaOptimum(kappa=kappa, f_min=f_min(meter, ratio, n_th))
+    return KappaOptimum(kappa=kappa, f_min=point.f_min[0])

@@ -365,21 +365,21 @@ def test_missing_entangler_parameters_is_config_error():
     assert proc.returncode == 2
 
 
-def test_verify_passes_and_tight_tolerance_fails():
-    proc = run_cli("verify")
-    assert proc.returncode == 0
-    assert "VERIFY: pass" in proc.stdout
-    proc = run_cli("verify", "--tolerance", "1e-14")
-    assert proc.returncode == 4
-    assert "VERIFY: FAIL" in proc.stdout
+def test_verify_passes_and_tight_tolerance_fails(monkeypatch, capsys):
+    code, out, _ = run_main(monkeypatch, capsys, "verify")
+    assert code == 0
+    assert "VERIFY: pass" in out
+    code, out, _ = run_main(monkeypatch, capsys, "verify", "--tolerance", "1e-14")
+    assert code == 4
+    assert "VERIFY: FAIL" in out
 
 
-def test_verify_printed_signal_is_informational_only():
-    proc = run_cli("verify", "--include-printed-signal")
-    assert proc.returncode == 0
-    assert "readout-signal-printed" in proc.stdout
-    assert "informational" in proc.stdout
-    assert "VERIFY: pass" in proc.stdout
+def test_verify_printed_signal_is_informational_only(monkeypatch, capsys):
+    code, out, _ = run_main(monkeypatch, capsys, "verify", "--include-printed-signal")
+    assert code == 0
+    assert "readout-signal-printed" in out
+    assert "informational" in out
+    assert "VERIFY: pass" in out
 
 
 def test_budget_feasibility_examples():
@@ -516,6 +516,25 @@ def test_largest_accepted_scale_stays_finite(monkeypatch, capsys, tmp_path, args
     assert code == 0 and err == ""
     text = out + (out_csv.read_text() if out_csv.exists() else "")
     assert "inf" not in text and "nan" not in text
+
+
+@pytest.mark.parametrize(
+    "args, quantity",
+    [
+        (("fig1", "--n-th", "1e300", "--r-list", "1e50", "--points", "4"), "noise"),
+        (("fmin", "--n-th", "1e308", "--r", "10"), "noise"),
+        (("fmin", "--tau-scaled", "1e300"), "noise"),
+        (("optimize-kappa", "--tau-scaled", "1e300"), "noise"),
+        (("fig1", "--axis-hi", "1e308", "--points", "4"), "signal"),
+        (("fig2", "--axis-lo", "1e-320", "--points", "4"), "f_min"),
+    ],
+)
+def test_non_finite_result_is_domain_error(monkeypatch, capsys, tmp_path, args, quantity):
+    out_csv = tmp_path / "x.csv"
+    code, out, err = run_main(monkeypatch, capsys, *args, "--out", str(out_csv))
+    assert code == 3
+    assert err.startswith(f"domain error: {quantity} is not finite ")
+    assert out == "" and not out_csv.exists()
 
 
 @pytest.mark.parametrize("argv", [["--help"]] + [[name, "--help"] for name, *_ in cli._COMMANDS])

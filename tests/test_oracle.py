@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -186,6 +187,53 @@ def test_verify_unattainable_tolerance_fails():
     assert readout.failures
     lines = report.summary_lines()
     assert any("FAIL" in line for line in lines)
+
+
+@pytest.mark.parametrize(
+    "grid, empty",
+    [
+        (VerifyGrid(kappas=(), n_ths=()), {"switch-off-covariance", "readout-moments"}),
+        (VerifyGrid(transfer_times=(), kappas=()), {"entangler-transfer", "readout-moments"}),
+        (VerifyGrid(transfer_times=()), {"entangler-transfer"}),
+    ],
+)
+def test_verify_grid_with_an_empty_family(grid, empty):
+    report = verify_closed_forms(grid)
+    assert report.passed
+    for check in report.checks:
+        assert (check.points == 0) == (check.name in empty), check.name
+        if check.points == 0:
+            assert check.passed and not check.failures
+            assert (check.max_rel_error, check.worst_case, check.guard_margin) == (0.0, "", 0.0)
+
+
+def test_verify_failure_lines_keep_grid_order():
+    # a negative tolerance fails every guard and every comparison
+    readout = verify_closed_forms(SMALL_GRID, tolerance=-1.0).checks[-1]
+    labels = [re.sub(r"[-+.e0-9]+$", "", line) for line in readout.failures]
+    want = []
+    for tau in ("1.5708", "3.14159"):
+        case = f"kappa=1 tau_scaled={tau}"
+        want += [f"{case}: step robustness ", f"{case} signal: rel_err="]
+        want += [
+            f"{case} ratio={ratio} n_th=0 phi={mode} noise: rel_err="
+            for ratio in (1, 2)
+            for mode in ("zero", "opt")
+        ]
+    assert labels == want
+
+
+def test_verify_points_and_python_floats():
+    grid = VerifyGrid()
+    report = verify_closed_forms(grid, include_printed_signal=True)
+    k, t = len(grid.kappas), len(grid.taus)
+    variants = len(grid.ratios) * len(grid.n_ths) * len(grid.phi_modes)
+    points = {c.name: c.points for c in report.checks}
+    assert points["readout-moments"] == k * t * (1 + variants) == 312
+    assert points["readout-signal-printed"] == k * t
+    for check in report.checks:
+        assert type(check.max_rel_error) is float, check.name
+        assert type(check.guard_margin) is float, check.name
 
 
 def rk4_steps(a, n, h):
