@@ -418,6 +418,7 @@ def cmd_fmin(cfg: RunConfig) -> int:
         _resolve_n_th(cfg),
         _resolve_phi(cfg, cfg.tau_scaled),
         signal_variant=cfg.signal_variant,
+        include_sql=cfg.include_sql,
     )
     for name in point.dtype.names:
         print(f"{name} = {_g(point[name][0])}")

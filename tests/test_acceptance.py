@@ -235,7 +235,7 @@ def test_adiabatic_convergence():
     check("adiabatic-convergence", ok, f"deviations=[{detail}]")
 
 
-def test_printed_variant_documented():
+def test_printed_variant_documented(launch_cli):
     # The alternate printed signal coefficient must be reported as a
     # documented discrepancy (informational failure, rel err about 3.5
     # at the quarter period) without tripping the verification verdict.
@@ -252,11 +252,7 @@ def test_printed_variant_documented():
         and 3.0 < sample < 4.0
         and abs(sample - target) <= 1e-6 * target
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "twinprobe.cli", "verify", "--include-printed-signal"],
-        capture_output=True,
-        text=True,
-    )
+    proc = launch_cli("verify", "--include-printed-signal")
     cli_ok = (
         proc.returncode == 0
         and "readout-signal-printed" in proc.stdout

@@ -1,10 +1,7 @@
 import math
-import os
 import shutil
 import subprocess
-import sys
 import tracemalloc
-import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -18,35 +15,6 @@ from twinprobe.sweep import fig1_spec, fmin_curve, fmin_points
 PI = math.pi
 
 
-def run_cli(*args, env_extra=None, cwd=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "twinprobe.cli", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=cwd,
-    )
-
-
-def run_main(monkeypatch, capsys, *args):
-    """Run ``cli.main`` in this process with warnings as errors.
-
-    Returns the exit code and the captured stdout and stderr; an exception
-    or a warning escaping ``main`` fails the test.
-    """
-    for name in list(os.environ):
-        if name.startswith(cli.ENV_PREFIX):
-            monkeypatch.delenv(name)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = cli.main(list(args))
-    out, err = capsys.readouterr()
-    return code, out, err
-
-
 def stdout_value(proc, key):
     for line in proc.stdout.splitlines():
         if line.startswith(key + " ") or line.startswith(key + "="):
@@ -54,31 +22,31 @@ def stdout_value(proc, key):
     raise AssertionError(f"{key!r} not found in output:\n{proc.stdout}")
 
 
-def test_entangle_reports_ratio_and_verdict():
-    proc = run_cli("entangle", "--coupling-chi", "1.5", "--n-th", "0")
+def test_entangle_reports_ratio_and_verdict(launch_cli):
+    proc = launch_cli("entangle", "--coupling-chi", "1.5", "--n-th", "0")
     assert proc.returncode == 0
     assert stdout_value(proc, "relative mode frequency") == pytest.approx(2.0)
     assert stdout_value(proc, "squeeze ratio") == pytest.approx(2.0)
     assert "entangled               = yes" in proc.stdout
 
 
-def test_entangle_thermal_verdicts():
-    proc = run_cli("entangle", "--r", "2", "--n-th", "20")
+def test_entangle_thermal_verdicts(launch_cli):
+    proc = launch_cli("entangle", "--r", "2", "--n-th", "20")
     assert proc.returncode == 0
     assert "entangled               = no" in proc.stdout
-    proc = run_cli("entangle", "--r", "50", "--n-th", "1000")
+    proc = launch_cli("entangle", "--r", "50", "--n-th", "1000")
     assert proc.returncode == 0
     assert "entangled               = yes" in proc.stdout
 
 
-def test_entangle_rejects_conflicting_parametrizations():
-    proc = run_cli("entangle", "--r", "2", "--coupling-chi", "1.5")
+def test_entangle_rejects_conflicting_parametrizations(launch_cli):
+    proc = launch_cli("entangle", "--r", "2", "--coupling-chi", "1.5")
     assert proc.returncode == 2
     assert "config error" in proc.stderr
 
 
-def test_entangle_full_model_converges():
-    proc = run_cli(
+def test_entangle_full_model_converges(launch_cli):
+    proc = launch_cli(
         "entangle", "--r", "2", "--n-th", "20", "--delta", "100", "--full-model"
     )
     assert proc.returncode == 0
@@ -87,23 +55,23 @@ def test_entangle_full_model_converges():
     assert deviation < 0.02
 
 
-def test_entangle_full_model_large_detuning():
-    proc = run_cli("entangle", "--r", "2", "--full-model", "--delta", "1e7")
+def test_entangle_full_model_large_detuning(launch_cli):
+    proc = launch_cli("entangle", "--r", "2", "--full-model", "--delta", "1e7")
     assert proc.returncode == 0, proc.stderr
     line = next(l for l in proc.stdout.splitlines() if "full-model deviation" in l)
     assert float(line.split("=")[1].split("(")[0]) < 1e-6
 
 
 @pytest.mark.parametrize("step", ["1e-320", "nan"])
-def test_entangle_full_model_rejects_bad_step(step):
-    proc = run_cli("entangle", "--r", "2", "--full-model", f"--step={step}")
+def test_entangle_full_model_rejects_bad_step(launch_cli, step):
+    proc = launch_cli("entangle", "--r", "2", "--full-model", f"--step={step}")
     assert proc.returncode == 2
     assert "config error: step" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
-def test_fmin_frozen_point():
-    proc = run_cli(
+def test_fmin_frozen_point(launch_cli):
+    proc = launch_cli(
         "fmin", "--tau-scaled", repr(PI / 2), "--r", "10", "--n-th", "20"
     )
     assert proc.returncode == 0
@@ -112,35 +80,47 @@ def test_fmin_frozen_point():
     assert stdout_value(proc, "phi") == pytest.approx(-PI / 4, rel=1e-9)
 
 
-def test_fmin_explicit_phi_overrides_opt():
-    proc = run_cli("fmin", "--tau-scaled", repr(PI / 2), "--r", "10", "--phi", "0")
+def test_fmin_explicit_phi_overrides_opt(launch_cli):
+    proc = launch_cli("fmin", "--tau-scaled", repr(PI / 2), "--r", "10", "--phi", "0")
     assert proc.returncode == 0
     assert stdout_value(proc, "phi") == 0.0
 
 
-def test_optimize_kappa_command():
-    proc = run_cli(
+def test_fmin_without_sql_prints_nan(launch_cli, tmp_path):
+    out = tmp_path / "point.csv"
+    proc = launch_cli("fmin", "--no-include-sql", "--out", str(out))
+    assert proc.returncode == 0
+    assert "f_sql = nan\n" in proc.stdout
+    assert out.read_text().splitlines()[1].split(",")[-1] == "nan"
+    proc = launch_cli("fmin", "--out", str(out))
+    assert proc.returncode == 0
+    assert stdout_value(proc, "f_sql") == pytest.approx(1.28490585296626357, rel=1e-9)
+    assert out.read_text().splitlines()[1].split(",")[-1] == "1.28490585297"
+
+
+def test_optimize_kappa_command(launch_cli):
+    proc = launch_cli(
         "optimize-kappa", "--tau-scaled", repr(PI / 2), "--r", "10", "--n-th", "20"
     )
     assert proc.returncode == 0
     assert stdout_value(proc, "kappa_opt") == pytest.approx(0.935932260872577, rel=1e-9)
     assert stdout_value(proc, "f_min") == pytest.approx(1.09113300329450691, rel=1e-6)
     # short durations put the optimum far out: 1/sqrt(2(tau - sin tau))
-    proc = run_cli("optimize-kappa", "--tau-scaled", "0.01", "--r", "10")
+    proc = launch_cli("optimize-kappa", "--tau-scaled", "0.01", "--r", "10")
     assert proc.returncode == 0
     assert stdout_value(proc, "kappa_opt") == pytest.approx(1732.05513770182, rel=1e-9)
     # the series form of tau - sin tau keeps tiny durations resolvable
-    proc = run_cli("optimize-kappa", "--tau-scaled", "1e-9")
+    proc = launch_cli("optimize-kappa", "--tau-scaled", "1e-9")
     assert proc.returncode == 0
     assert stdout_value(proc, "kappa_opt") == pytest.approx(5.47722557505e13, rel=1e-9)
-    proc = run_cli("optimize-kappa", "--tau-scaled", "0")
+    proc = launch_cli("optimize-kappa", "--tau-scaled", "0")
     assert proc.returncode == 3
     assert "signal transfer vanishes" in proc.stderr
 
 
-def test_fig1_csv_layout(tmp_path):
+def test_fig1_csv_layout(launch_cli, tmp_path):
     out = tmp_path / "curve.csv"
-    proc = run_cli("fig1", "--points", "16", "--out", str(out))
+    proc = launch_cli("fig1", "--points", "16", "--out", str(out))
     assert proc.returncode == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "axis,r,phi_opt,signal,noise,f_min,f_sql"
@@ -151,17 +131,17 @@ def test_fig1_csv_layout(tmp_path):
     assert float(lines[-1].split(",")[0]) == pytest.approx(2 * PI)
 
 
-def test_fig1_without_sql_emits_nan(tmp_path):
+def test_fig1_without_sql_emits_nan(launch_cli, tmp_path):
     out = tmp_path / "curve.csv"
-    proc = run_cli("fig1", "--points", "4", "--no-include-sql", "--out", str(out))
+    proc = launch_cli("fig1", "--points", "4", "--no-include-sql", "--out", str(out))
     assert proc.returncode == 0
     for line in out.read_text().splitlines()[1:]:
         assert line.split(",")[-1] == "nan"
 
 
-def test_fig2_is_log_spaced(tmp_path):
+def test_fig2_is_log_spaced(launch_cli, tmp_path):
     out = tmp_path / "curve.csv"
-    proc = run_cli("fig2", "--points", "5", "--r-list", "1", "--out", str(out))
+    proc = launch_cli("fig2", "--points", "5", "--r-list", "1", "--out", str(out))
     assert proc.returncode == 0
     axis = [float(l.split(",")[0]) for l in out.read_text().splitlines()[1:]]
     ratios = [b / a for a, b in zip(axis, axis[1:])]
@@ -169,10 +149,10 @@ def test_fig2_is_log_spaced(tmp_path):
     assert axis[0] == pytest.approx(0.05) and axis[-1] == pytest.approx(5.0)
 
 
-def test_fig1_gnuplot_script(tmp_path):
+def test_fig1_gnuplot_script(launch_cli, tmp_path):
     out = tmp_path / "it's curve.csv"
     script = tmp_path / "curve.gp"
-    proc = run_cli(
+    proc = launch_cli(
         "fig1", "--points", "4", "--r-list", "1.2345678,2", "--out", str(out),
         "--gnuplot", str(script),
     )
@@ -197,73 +177,73 @@ def test_fig1_gnuplot_script(tmp_path):
         (("fig1", "--points", "4", "--out", "{tmp}/x.csv", "--gnuplot", "{bad}/x.gp"), "gnuplot"),
     ],
 )
-def test_unwritable_output_is_config_error(tmp_path, args, key):
+def test_unwritable_output_is_config_error(launch_cli, tmp_path, args, key):
     bad = tmp_path / "no" / "such" / "dir"
-    proc = run_cli(*(a.format(bad=bad, tmp=tmp_path) for a in args))
+    proc = launch_cli(*(a.format(bad=bad, tmp=tmp_path) for a in args))
     assert proc.returncode == 2
     assert f"config error: cannot write {key} {bad}/x." in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
-def test_csv_determinism(tmp_path):
+def test_csv_determinism(launch_cli, tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    assert run_cli("fig1", "--points", "32", "--out", str(a)).returncode == 0
-    assert run_cli("fig1", "--points", "32", "--jobs", "3", "--out", str(b)).returncode == 0
+    assert launch_cli("fig1", "--points", "32", "--out", str(a)).returncode == 0
+    assert launch_cli("fig1", "--points", "32", "--jobs", "3", "--out", str(b)).returncode == 0
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_config_file_env_flag_precedence(tmp_path):
+def test_config_file_env_flag_precedence(launch_cli, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("kappa = 2.0\ntau-scaled = 1.0  # dashes map to underscores\n")
-    base = run_cli("dump-config", "--config", str(cfg))
+    base = launch_cli("dump-config", "--config", str(cfg))
     assert base.returncode == 0
     assert stdout_value(base, "kappa") == 2.0
     assert stdout_value(base, "tau_scaled") == 1.0
-    env = run_cli("dump-config", "--config", str(cfg), env_extra={"TWINPROBE_KAPPA": "3"})
+    env = launch_cli("dump-config", "--config", str(cfg), env_extra={"TWINPROBE_KAPPA": "3"})
     assert stdout_value(env, "kappa") == 3.0
-    flag = run_cli(
+    flag = launch_cli(
         "dump-config", "--config", str(cfg), "--kappa", "4",
         env_extra={"TWINPROBE_KAPPA": "3"},
     )
     assert stdout_value(flag, "kappa") == 4.0
 
 
-def test_config_file_via_environment(tmp_path):
+def test_config_file_via_environment(launch_cli, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n_th = 7\n")
-    proc = run_cli("dump-config", env_extra={"TWINPROBE_CONFIG": str(cfg)})
+    proc = launch_cli("dump-config", env_extra={"TWINPROBE_CONFIG": str(cfg)})
     assert proc.returncode == 0
     assert stdout_value(proc, "n_th") == 7.0
 
 
-def test_unknown_config_key_rejected(tmp_path):
+def test_unknown_config_key_rejected(launch_cli, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("warp_factor = 9\n")
-    proc = run_cli("dump-config", "--config", str(cfg))
+    proc = launch_cli("dump-config", "--config", str(cfg))
     assert proc.returncode == 2
     assert "unknown key" in proc.stderr
 
 
-def test_malformed_config_line_rejected(tmp_path):
+def test_malformed_config_line_rejected(launch_cli, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("kappa\n")
-    proc = run_cli("dump-config", "--config", str(cfg))
+    proc = launch_cli("dump-config", "--config", str(cfg))
     assert proc.returncode == 2
 
 
-def test_unknown_environment_variable_rejected():
-    proc = run_cli("dump-config", env_extra={"TWINPROBE_WARP": "9"})
+def test_unknown_environment_variable_rejected(launch_cli):
+    proc = launch_cli("dump-config", env_extra={"TWINPROBE_WARP": "9"})
     assert proc.returncode == 2
     assert "unknown environment variable" in proc.stderr
 
 
-def test_dump_config_round_trips(tmp_path):
-    first = run_cli("dump-config", "--kappa", "2.5", "--n-th", "3")
+def test_dump_config_round_trips(launch_cli, tmp_path):
+    first = launch_cli("dump-config", "--kappa", "2.5", "--n-th", "3")
     assert first.returncode == 0
     cfg = tmp_path / "dumped.cfg"
     cfg.write_text(first.stdout)
-    second = run_cli("dump-config", "--config", str(cfg))
+    second = launch_cli("dump-config", "--config", str(cfg))
     assert second.stdout == first.stdout
 
 
@@ -298,14 +278,14 @@ NON_DEFAULT = {
 }
 
 
-def test_every_setting_reaches_config_file_env_and_flag(tmp_path):
+def test_every_setting_reaches_config_file_env_and_flag(launch_cli, tmp_path):
     assert list(NON_DEFAULT) == [f.name for f in fields(RunConfig)]
     text = "".join(f"{key} = {value}\n" for key, value in NON_DEFAULT.items())
     cfg = tmp_path / "all.cfg"
     cfg.write_text(text)
-    assert run_cli("dump-config", "--config", str(cfg)).stdout == text
+    assert launch_cli("dump-config", "--config", str(cfg)).stdout == text
     env = {f"TWINPROBE_{key.upper()}": value for key, value in NON_DEFAULT.items()}
-    assert run_cli("dump-config", env_extra=env).stdout == text
+    assert launch_cli("dump-config", env_extra=env).stdout == text
     flags = []
     for key, value in NON_DEFAULT.items():
         flag = "--" + key.replace("_", "-")
@@ -313,8 +293,8 @@ def test_every_setting_reaches_config_file_env_and_flag(tmp_path):
             flags.append(flag if value == "true" else "--no-" + flag[2:])
         else:
             flags.append(f"{flag}={value}")
-    assert run_cli("dump-config", *flags).stdout == text
-    usage = run_cli("dump-config", "--help").stdout
+    assert launch_cli("dump-config", *flags).stdout == text
+    usage = launch_cli("dump-config", "--help").stdout
     for key in NON_DEFAULT:
         assert "--" + key.replace("_", "-") + " " in usage
 
@@ -341,49 +321,65 @@ def test_every_setting_reaches_config_file_env_and_flag(tmp_path):
         pytest.param(("fmin",), None, "n_th = inf\n", "n_th", id="config-file"),
     ],
 )
-def test_non_finite_setting_is_config_error(tmp_path, args, env, cfg_text, key):
+def test_non_finite_setting_is_config_error(launch_cli, tmp_path, args, env, cfg_text, key):
     if cfg_text is not None:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(cfg_text)
         args = (*args, "--config", str(cfg))
-    proc = run_cli(*args, "--out", str(tmp_path / "out.csv"), env_extra=env)
+    proc = launch_cli(*args, "--out", str(tmp_path / "out.csv"), env_extra=env)
     assert proc.returncode == 2
     assert f"config error: {key} " in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
-def test_domain_error_exit_codes():
-    proc = run_cli("entangle", "--coupling-chi", "-0.9")
+def test_domain_error_exit_codes(launch_cli):
+    proc = launch_cli("entangle", "--coupling-chi", "-0.9")
     assert proc.returncode == 3
     assert "domain error" in proc.stderr
-    proc = run_cli("fmin", "--tau-scaled", "0")
+    proc = launch_cli("fmin", "--tau-scaled", "0")
     assert proc.returncode == 3
 
 
-def test_missing_entangler_parameters_is_config_error():
-    proc = run_cli("entangle")
+def test_missing_entangler_parameters_is_config_error(launch_cli):
+    proc = launch_cli("entangle")
     assert proc.returncode == 2
 
 
-def test_verify_passes_and_tight_tolerance_fails(monkeypatch, capsys):
-    code, out, _ = run_main(monkeypatch, capsys, "verify")
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("fmin", "--kappa", "abc"), "argument --kappa: invalid float value"),
+        (("frobnicate",), "invalid choice"),
+        ((), "arguments are required"),
+    ],
+)
+def test_argparse_error_exits_2(launch_cli, args, message):
+    proc = launch_cli(*args)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert proc.stderr.startswith("usage: twinprobe")
+    assert proc.stdout == ""
+
+
+def test_verify_passes_and_tight_tolerance_fails(launch_cli):
+    code, out, _ = launch_cli("verify")
     assert code == 0
     assert "VERIFY: pass" in out
-    code, out, _ = run_main(monkeypatch, capsys, "verify", "--tolerance", "1e-14")
+    code, out, _ = launch_cli("verify", "--tolerance", "1e-14")
     assert code == 4
     assert "VERIFY: FAIL" in out
 
 
-def test_verify_printed_signal_is_informational_only(monkeypatch, capsys):
-    code, out, _ = run_main(monkeypatch, capsys, "verify", "--include-printed-signal")
+def test_verify_printed_signal_is_informational_only(launch_cli):
+    code, out, _ = launch_cli("verify", "--include-printed-signal")
     assert code == 0
     assert "readout-signal-printed" in out
     assert "informational" in out
     assert "VERIFY: pass" in out
 
 
-def test_budget_feasibility_examples():
-    proc = run_cli(
+def test_budget_feasibility_examples(launch_cli):
+    proc = launch_cli(
         "budget", "--gamma-mech", "1e-6", "--n-th", "20",
         "--phi", repr(PI / 4), "--tau-scaled", repr(PI / 2),
     )
@@ -391,15 +387,15 @@ def test_budget_feasibility_examples():
     assert stdout_value(proc, "coherence budget") == pytest.approx(5e4)
     assert stdout_value(proc, "time used") == pytest.approx(3 * PI / 4)
     assert "feasible = yes" in proc.stdout
-    proc = run_cli(
+    proc = launch_cli(
         "budget", "--gamma-mech", "0.1", "--n-th", "20",
         "--phi", repr(PI / 4), "--tau-scaled", repr(PI / 2),
     )
     assert "feasible = no" in proc.stdout
 
 
-def test_temperature_overrides_occupation():
-    proc = run_cli("fmin", "--temperature", "0.5", "--omega", "1")
+def test_temperature_overrides_occupation(launch_cli):
+    proc = launch_cli("fmin", "--temperature", "0.5", "--omega", "1")
     assert proc.returncode == 0
     assert stdout_value(proc, "n_th") == pytest.approx(1.15651764274966565, rel=1e-9)
 
@@ -464,10 +460,10 @@ def test_csv_block_writer_memory_does_not_grow_with_rows(tmp_path):
         ("dump-config", "--points", "1000001"),
     ],
 )
-def test_points_cap_is_config_error(monkeypatch, capsys, tmp_path, args):
+def test_points_cap_is_config_error(launch_cli, tmp_path, args):
     tracemalloc.start()
     try:
-        code, out, err = run_main(monkeypatch, capsys, *args, "--out", str(tmp_path / "x.csv"))
+        code, out, err = launch_cli(*args, "--out", str(tmp_path / "x.csv"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -477,8 +473,8 @@ def test_points_cap_is_config_error(monkeypatch, capsys, tmp_path, args):
     assert peak < 1e6  # rejected before any grid is allocated
 
 
-def test_points_cap_accepts_the_cap(monkeypatch, capsys):
-    code, out, _ = run_main(monkeypatch, capsys, "dump-config", "--points", "1000000")
+def test_points_cap_accepts_the_cap(launch_cli):
+    code, out, _ = launch_cli("dump-config", "--points", "1000000")
     assert code == 0 and "points = 1000000" in out
 
 
@@ -493,8 +489,8 @@ def test_points_cap_accepts_the_cap(monkeypatch, capsys):
         (("fig2", "--points", "4", "--kappa", "1e200"), "kappa"),
     ],
 )
-def test_overflowing_setting_is_config_error(monkeypatch, capsys, tmp_path, args, key):
-    code, out, err = run_main(monkeypatch, capsys, *args, "--out", str(tmp_path / "x.csv"))
+def test_overflowing_setting_is_config_error(launch_cli, tmp_path, args, key):
+    code, out, err = launch_cli(*args, "--out", str(tmp_path / "x.csv"))
     assert code == 2
     assert err.startswith(f"config error: {key} ")
     assert out == ""
@@ -510,9 +506,9 @@ def test_overflowing_setting_is_config_error(monkeypatch, capsys, tmp_path, args
         ("fig2", "--points", "4", "--r-list", "1e50"),
     ],
 )
-def test_largest_accepted_scale_stays_finite(monkeypatch, capsys, tmp_path, args):
+def test_largest_accepted_scale_stays_finite(launch_cli, tmp_path, args):
     out_csv = tmp_path / "x.csv"
-    code, out, err = run_main(monkeypatch, capsys, *args, "--out", str(out_csv))
+    code, out, err = launch_cli(*args, "--out", str(out_csv))
     assert code == 0 and err == ""
     text = out + (out_csv.read_text() if out_csv.exists() else "")
     assert "inf" not in text and "nan" not in text
@@ -529,9 +525,9 @@ def test_largest_accepted_scale_stays_finite(monkeypatch, capsys, tmp_path, args
         (("fig2", "--axis-lo", "1e-320", "--points", "4"), "f_min"),
     ],
 )
-def test_non_finite_result_is_domain_error(monkeypatch, capsys, tmp_path, args, quantity):
+def test_non_finite_result_is_domain_error(launch_cli, tmp_path, args, quantity):
     out_csv = tmp_path / "x.csv"
-    code, out, err = run_main(monkeypatch, capsys, *args, "--out", str(out_csv))
+    code, out, err = launch_cli(*args, "--out", str(out_csv))
     assert code == 3
     assert err.startswith(f"domain error: {quantity} is not finite ")
     assert out == "" and not out_csv.exists()
