@@ -32,6 +32,7 @@ __all__ = [
     "noise",
     "phi_opt",
     "f_min",
+    "f_min_from",
     "sql",
     "t_minus_sin",
     "decoherence_budget",
@@ -146,12 +147,20 @@ def phi_opt(tau_scaled):
 
 def f_min(m: MeterParams, ratio, n_th):
     """Minimum detectable force, sqrt(noise) / |signal|."""
-    s = signal_coeff(m)
-    zero = s == 0.0
+    return f_min_from(m, signal_coeff(m), noise(m, ratio, n_th))
+
+
+def f_min_from(m: MeterParams, signal, variance):
+    """f_min from the already evaluated ``signal_coeff(m)`` and noise ``variance``.
+
+    A zero signal raises UndetectableForceError naming the first duration
+    at which it vanishes.
+    """
+    zero = signal == 0.0
     if np.any(zero):
-        tau = np.broadcast_to(m.tau_scaled, np.shape(s))[zero][0]
+        tau = np.broadcast_to(m.tau_scaled, np.shape(signal))[zero][0]
         raise UndetectableForceError(f"signal transfer vanishes at tau_scaled={tau}")
-    return np.sqrt(noise(m, ratio, n_th)) / np.abs(s)
+    return np.sqrt(variance) / np.abs(signal)
 
 
 def sql(m: MeterParams):

@@ -20,7 +20,7 @@ from .metrology import (
     SIGNAL_VARIANTS,
     MeterParams,
     UndetectableForceError,
-    f_min,
+    f_min_from,
     noise,
     phi_opt,
     signal_coeff,
@@ -123,15 +123,17 @@ def fmin_points(
     )
     # an overflow or 0 * inf surfaces as a non-finite column, refused below
     with np.errstate(all="ignore"):
+        signal = signal_coeff(meter)
+        variance = noise(meter, ratio, n_th)
         columns = {
             "tau_scaled": tau_scaled,
             "kappa": kappa,
             "ratio": ratio,
             "n_th": n_th,
             "phi": phi,
-            "signal": signal_coeff(meter),
-            "noise": noise(meter, ratio, n_th),
-            "f_min": f_min(meter, ratio, n_th),
+            "signal": signal,
+            "noise": variance,
+            "f_min": f_min_from(meter, signal, variance),
             "f_sql": sql(meter) if include_sql else math.nan,
         }
     shape = np.broadcast_shapes(*map(np.shape, columns.values()))

@@ -1,8 +1,11 @@
+import importlib
 import math
 import shutil
 import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +170,22 @@ def test_fig1_gnuplot_script(launch_cli, tmp_path):
     assert literals == ["1.2345678", "2", "1.2345678"]
     assert set(literals) <= csv_ratios
     assert "title 'r=1.2345678'" in plots[0]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("fig1", "--gnuplot", "fig1.csv"),
+        ("fig2", "--gnuplot", "./fig2.csv"),
+        ("fig1", "--out", "a.csv", "--gnuplot", "{tmp}/a.csv"),
+    ],
+)
+def test_gnuplot_onto_the_csv_is_config_error(launch_cli, tmp_path, args):
+    proc = launch_cli(*(a.format(tmp=tmp_path) for a in args), "--points", "4")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: gnuplot ")
+    assert "would overwrite the CSV" in proc.stderr
+    assert proc.stdout == "" and list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -400,6 +419,20 @@ def test_temperature_overrides_occupation(launch_cli):
     assert stdout_value(proc, "n_th") == pytest.approx(1.15651764274966565, rel=1e-9)
 
 
+def test_console_script_names_cli_main(launch_cli, monkeypatch, capsys):
+    # launch_cli is requested for its clean environment; the entry point is
+    # called as the installed script calls it, with the words in sys.argv.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["twinprobe"]
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    assert entry is cli.main
+    monkeypatch.setattr(sys, "argv", ["twinprobe", "fmin", "--tau-scaled", "1.0"])
+    assert entry() == 0
+    assert "f_min = " in capsys.readouterr().out
+
+
 @pytest.mark.skipif(shutil.which("twinprobe") is None, reason="script not on PATH")
 def test_console_script_entry_point():
     proc = subprocess.run(
@@ -421,17 +454,41 @@ def one_shot_csv(axis, rows):
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def edge_value_rows(n, axis, include_sql):
+    """Rows in the record layout of ``fmin_points`` holding the values a writer can get wrong."""
+    rng = np.random.default_rng(20)
+    nan_payload = np.array([0x7FF8000000000001], np.uint64).view(np.float64)[0]
+    specials = [0.0, -0.0, math.nan, -math.nan, nan_payload, math.inf, -math.inf,
+                5e-324, -2.5e-310, 1e300, -1e300]
+    rows = np.zeros(n, fmin_points(1.0, 1.0, 1.0, 0.0, 0.0).dtype).view(np.recarray)
+    rows[axis] = 0.05 + 0.1 * np.arange(n)  # every value distinct
+    rows.ratio = 2.5  # every value equal
+    rows.phi = np.resize([0.0, -0.0], n)
+    rows.signal = rng.choice(specials, n)
+    rows.noise = np.linspace(1.0, 2.0, n)
+    # one value far apart and on both sides of the first block boundary
+    rows.noise[[0, B - 1, B, n - 1]] = 1.0 / 3.0
+    rows.f_min = rng.choice([1.0 / 3.0, 2.0 / 3.0, PI, 1e-7, 123456.789], n)
+    rows.f_sql = rng.uniform(1.0, 2.0, n) if include_sql else math.nan
+    return rows
+
+
 @pytest.mark.parametrize("include_sql", [True, False])
 @pytest.mark.parametrize("axis", ["tau_scaled", "kappa"])
-@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 7])
-def test_csv_block_writer_matches_one_shot_join(tmp_path, n, axis, include_sql):
-    grid = np.linspace(0.05, 2 * PI, n) if n > 1 else np.array([1.2])
-    tau = grid if axis == "tau_scaled" else PI / 2
-    kappa = grid if axis == "kappa" else 0.8
-    ratio = np.resize([1.0, 2.5, 10.0], n)
-    rows = fmin_points(
-        tau, kappa, ratio, 20.0, phi_opt(tau), include_sql=include_sql
-    )
+@pytest.mark.parametrize("case", [1, B - 1, B, B + 1, 3 * B + 7, "edge_values"])
+def test_csv_block_writer_matches_one_shot_join(tmp_path, case, axis, include_sql):
+    if case == "edge_values":
+        n = 2 * B + 3
+        rows = edge_value_rows(n, axis, include_sql)
+    else:
+        n = case
+        grid = np.linspace(0.05, 2 * PI, n) if n > 1 else np.array([1.2])
+        tau = grid if axis == "tau_scaled" else PI / 2
+        kappa = grid if axis == "kappa" else 0.8
+        ratio = np.resize([1.0, 2.5, 10.0], n)
+        rows = fmin_points(
+            tau, kappa, ratio, 20.0, phi_opt(tau), include_sql=include_sql
+        )
     assert len(rows) == n
     out = tmp_path / "rows.csv"
     cli._write_csv(str(out), axis, rows)
