@@ -26,13 +26,9 @@ _EXPORTS = {
     "dynamics": (
         "EntanglementReport", "EntanglerOutput", "ProbeParams", "UnstableRegimeError",
         "entangled_covariance", "is_entangled", "occupation_from_temperature", "prepare",
-        "relative_mode_frequency", "rotate", "squeeze_ratio", "thermal_covariance",
-        "transfer_matrix",
+        "relative_mode_frequency", "rotate", "thermal_covariance", "transfer_matrix",
     ),
-    "gaussian": (
-        "CovarianceMatrix", "QuadratureVector", "ValidationReport", "congruence", "direct_sum",
-        "vacuum", "validate",
-    ),
+    "gaussian": ("CovarianceMatrix", "ValidationReport", "direct_sum", "vacuum", "validate"),
     "metrology": (
         "DecoherenceBudget", "MeterParams", "UndetectableForceError", "decoherence_budget",
         "f_min", "noise", "phi_opt", "signal_coeff", "sql",
@@ -40,7 +36,7 @@ _EXPORTS = {
     "oracle": (
         "IntegrationDivergedError", "LinearSystem", "VerificationReport", "VerifyGrid",
         "build_entangler_system", "build_measurement_system", "full_model_deviation",
-        "hamiltonian_defect", "integrate_moments", "verify_closed_forms",
+        "integrate_moments", "verify_closed_forms",
     ),
     "sweep": (
         "KappaOptimum", "SweepSpec", "fig1_spec", "fig2_spec", "fmin_curve", "optimal_kappa",

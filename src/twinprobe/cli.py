@@ -160,8 +160,30 @@ def _env_overrides(environ) -> dict[str, str]:
     return out
 
 
+def _output_paths(command: str, cfg: RunConfig) -> dict[str, str]:
+    """The files ``command`` writes, keyed by the setting that names each."""
+    if command not in ("fig1", "fig2"):
+        return {"out": cfg.out} if command == "fmin" and cfg.out else {}
+    paths = {"out": cfg.out or f"{command}.csv", "gnuplot": cfg.gnuplot}
+    return {key: path for key, path in paths.items() if path}
+
+
+def _check_outputs(paths: dict[str, str], config_path: str | None) -> None:
+    """Refuse an output that would overwrite the config file or another output."""
+    taken = {os.path.realpath(config_path): f"config file {config_path}"} if config_path else {}
+    for key, path in paths.items():
+        real = os.path.realpath(path)
+        if real in taken:
+            raise ConfigError(f"{key} {path} would overwrite the {taken[real]}")
+        taken[real] = f"CSV {path}"  # only the CSV precedes another output
+
+
 def build_config(args: argparse.Namespace, environ=None) -> RunConfig:
-    """Layer defaults, config file, environment, and flags into a RunConfig."""
+    """Layer defaults, config file, environment, and flags into a RunConfig.
+
+    An output path of ``args.command`` that would overwrite the config file
+    or another output is refused before any command runs.
+    """
     environ = os.environ if environ is None else environ
     values = {f.name: f.default for f in fields(RunConfig)}
     path = getattr(args, "config", None) or environ.get(ENV_PREFIX + "CONFIG")
@@ -198,6 +220,7 @@ def build_config(args: argparse.Namespace, environ=None) -> RunConfig:
         if value is not None and abs(value) > MAX_SCALE:
             raise ConfigError(f"{key} must be at most {MAX_SCALE:g} in magnitude, got {value!r}")
     _parse_ratio_list(cfg)
+    _check_outputs(_output_paths(getattr(args, "command", ""), cfg), path)
     return cfg
 
 
@@ -292,10 +315,6 @@ def _write_chunks(key: str, path: str, chunks) -> None:
         raise ConfigError(f"cannot write {key} {path}: {exc.strerror}") from None
 
 
-def _write_lines(key: str, path: str, lines: list[str]) -> None:
-    _write_chunks(key, path, ["\n".join(lines) + "\n"])
-
-
 # Rows formatted per write: the writer's memory depends on this, not on the
 # row count.
 CSV_BLOCK_ROWS = 4096
@@ -359,7 +378,7 @@ def _write_gnuplot(path: str, csv_path: str, spec: SweepSpec) -> None:
             "with lines dashtype 2 title 'SQL'"
         )
     lines.append("plot \\\n  " + ", \\\n  ".join(plots))
-    _write_lines("gnuplot", path, lines)
+    _write_chunks("gnuplot", path, ["\n".join(lines) + "\n"])
 
 
 def cmd_entangle(cfg: RunConfig) -> int:
@@ -390,10 +409,8 @@ def cmd_entangle(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _run_sweep(cfg: RunConfig, base: SweepSpec, default_out: str) -> int:
-    out_path = cfg.out or default_out
-    if cfg.gnuplot and os.path.realpath(cfg.gnuplot) == os.path.realpath(out_path):
-        raise ConfigError(f"gnuplot {cfg.gnuplot} would overwrite the CSV {out_path}")
+def _run_sweep(cfg: RunConfig, base: SweepSpec, command: str) -> int:
+    paths = _output_paths(command, cfg)
     from .sweep import fmin_curve
 
     overrides = {
@@ -411,24 +428,24 @@ def _run_sweep(cfg: RunConfig, base: SweepSpec, default_out: str) -> int:
         overrides["hi"] = cfg.axis_hi
     spec = replace(base, **overrides)
     rows = fmin_curve(spec)
-    _write_csv(out_path, spec.axis, rows)
-    print(f"wrote {len(rows)} rows to {out_path}")
-    if cfg.gnuplot:
-        _write_gnuplot(cfg.gnuplot, out_path, spec)
-        print(f"wrote gnuplot script to {cfg.gnuplot}")
+    _write_csv(paths["out"], spec.axis, rows)
+    print(f"wrote {len(rows)} rows to {paths['out']}")
+    if "gnuplot" in paths:
+        _write_gnuplot(paths["gnuplot"], paths["out"], spec)
+        print(f"wrote gnuplot script to {paths['gnuplot']}")
     return EXIT_OK
 
 
 def cmd_fig1(cfg: RunConfig) -> int:
     from .sweep import fig1_spec
 
-    return _run_sweep(cfg, fig1_spec(), "fig1.csv")
+    return _run_sweep(cfg, fig1_spec(), "fig1")
 
 
 def cmd_fig2(cfg: RunConfig) -> int:
     from .sweep import fig2_spec
 
-    return _run_sweep(cfg, fig2_spec(), "fig2.csv")
+    return _run_sweep(cfg, fig2_spec(), "fig2")
 
 
 def cmd_fmin(cfg: RunConfig) -> int:

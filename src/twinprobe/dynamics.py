@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._common import DomainError
+from ._common import DomainError, finite
 from .gaussian import CovarianceMatrix, VACUUM_VARIANCE
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "EntanglementReport",
     "coupling_strength",
     "relative_mode_frequency",
-    "squeeze_ratio",
     "transfer_matrix",
     "thermal_covariance",
     "occupation_from_temperature",
@@ -141,21 +140,13 @@ def relative_mode_frequency(p: ProbeParams) -> float:
     return math.sqrt(radicand)
 
 
-def squeeze_ratio(p: ProbeParams) -> float:
-    """Ratio of the relative-mode frequency to the bare frequency."""
-    return relative_mode_frequency(p) / p.omega
-
-
 def transfer_matrix(p: ProbeParams, t: float) -> np.ndarray:
     """Quadrature transfer matrix of the coupled pair after time ``t``.
 
     Ordering (q1, p1, q2, p2).  The momentum rows are (1/omega) d/dt of
     the position rows, so the map is symplectic at every time.
     """
-    return _transfer(p.omega, relative_mode_frequency(p), t)
-
-
-def _transfer(omega: float, theta: float, t: float) -> np.ndarray:
+    omega, theta = p.omega, relative_mode_frequency(p)
     r = theta / omega
     cb, sb = math.cos(omega * t), math.sin(omega * t)  # bare (center-of-mass) mode
     cf, sf = math.cos(theta * t), math.sin(theta * t)  # fast (relative) mode
@@ -215,16 +206,16 @@ def entangled_covariance(ratio: float, n_th: float) -> CovarianceMatrix:
     scale = 0.5 * (VACUUM_VARIANCE + n_th)
     rm2 = ratio**-2
     rp2 = ratio**2
-    return CovarianceMatrix(
-        np.array(
-            [
-                [scale * (1 + rm2), 0.0, scale * (1 - rm2), 0.0],
-                [0.0, scale * (1 + rp2), 0.0, scale * (1 - rp2)],
-                [scale * (1 - rm2), 0.0, scale * (1 + rm2), 0.0],
-                [0.0, scale * (1 - rp2), 0.0, scale * (1 + rp2)],
-            ]
-        )
+    m = np.array(
+        [
+            [scale * (1 + rm2), 0.0, scale * (1 - rm2), 0.0],
+            [0.0, scale * (1 + rp2), 0.0, scale * (1 - rp2)],
+            [scale * (1 - rm2), 0.0, scale * (1 + rm2), 0.0],
+            [0.0, scale * (1 - rp2), 0.0, scale * (1 + rp2)],
+        ]
     )
+    finite("switch-off covariance", np.max(np.abs(m)))
+    return CovarianceMatrix(m)
 
 
 def mode_rotation(phi: float, n_modes: int = 2) -> np.ndarray:
@@ -300,17 +291,28 @@ class EntanglerOutput:
 
 
 def prepare(p: ProbeParams) -> EntanglerOutput:
-    """Run the entangling stage to its switch-off time and collect the state."""
-    theta = relative_mode_frequency(p)
-    ratio = theta / p.omega
+    """Run the entangling stage to its switch-off time and collect the state.
+
+    A reported quantity beyond the float range raises DomainError naming it.
+    """
+    try:
+        theta = relative_mode_frequency(p)
+    except OverflowError:  # (2 g |beta|)**2
+        theta = math.inf
+    ratio = finite("squeeze ratio", theta / p.omega)  # also catches an infinite theta
     if ratio < 1.0:
         raise UnstableRegimeError(
             f"coupling must not soften the relative mode: ratio {ratio} < 1"
         )
+    # squared below, where a float power would raise OverflowError instead
+    finite("squeeze ratio squared", ratio * ratio)
+    report = is_entangled(ratio, p.n_th)
+    for name in ("relative_q_variance", "total_p_variance", "variance_product", "squeeze_margin"):
+        finite(name.replace("_", " "), getattr(report, name))
     return EntanglerOutput(
         mode_frequency=theta,
         ratio=ratio,
-        switch_off_time=math.pi / (2.0 * theta),
+        switch_off_time=finite("switch-off time", math.pi / (2.0 * theta)),
         covariance=entangled_covariance(ratio, p.n_th),
-        report=is_entangled(ratio, p.n_th),
+        report=report,
     )

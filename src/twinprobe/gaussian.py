@@ -17,44 +17,15 @@ __all__ = [
     "UNCERTAINTY_TOLERANCE",
     "VACUUM_VARIANCE",
     "CovarianceMatrix",
-    "QuadratureVector",
     "ValidationReport",
     "vacuum",
     "validate",
-    "congruence",
     "direct_sum",
 ]
 
 PSD_TOLERANCE = 1e-10
 UNCERTAINTY_TOLERANCE = 1e-10
 VACUUM_VARIANCE = 0.5
-
-
-class QuadratureVector:
-    """Immutable vector of quadrature means, ordered (q1, p1, q2, p2, ...)."""
-
-    __slots__ = ("_values",)
-
-    def __init__(self, values) -> None:
-        v = np.array(values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError(f"expected a nonempty 1-d vector, got shape {v.shape}")
-        v.setflags(write=False)
-        self._values = v
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._values
-
-    @property
-    def dim(self) -> int:
-        return self._values.size
-
-    def __getitem__(self, index: int) -> float:
-        return float(self._values[index])
-
-    def __repr__(self) -> str:
-        return f"QuadratureVector({self._values.tolist()!r})"
 
 
 class CovarianceMatrix:
@@ -93,13 +64,6 @@ class CovarianceMatrix:
 
     def variance(self, index: int) -> float:
         return float(self._matrix[index, index])
-
-    def quadratic_form(self, weights) -> float:
-        """Variance of the linear combination sum_j weights_j v_j."""
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (self.dim,):
-            raise ValueError(f"weights must have shape ({self.dim},), got {w.shape}")
-        return float(w @ self._matrix @ w)
 
     def __repr__(self) -> str:
         return f"CovarianceMatrix(dim={self.dim})"
@@ -154,14 +118,6 @@ def validate(c: CovarianceMatrix) -> ValidationReport:
         uncertainty_products=products,
         failures=tuple(failures),
     )
-
-
-def congruence(c: CovarianceMatrix, m) -> CovarianceMatrix:
-    """Transform a covariance by the linear map ``m``: returns M C M^T."""
-    m = np.asarray(m, dtype=float)
-    if m.shape != (c.dim, c.dim):
-        raise ValueError(f"map shape {m.shape} does not match covariance dim {c.dim}")
-    return CovarianceMatrix(m @ c.matrix @ m.T)
 
 
 def direct_sum(a: CovarianceMatrix, b: CovarianceMatrix) -> CovarianceMatrix:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._common import SIGNAL_CONSISTENT, SIGNAL_PRINTED, SIGNAL_VARIANTS, DomainError
+from ._common import SIGNAL_CONSISTENT, SIGNAL_PRINTED, SIGNAL_VARIANTS, DomainError, finite
 
 __all__ = [
     "SIGNAL_CONSISTENT",
@@ -189,12 +189,13 @@ def decoherence_budget(p, phi: float, tau: float) -> DecoherenceBudget:
 
     The rotation is implemented by free evolution, so a negative angle
     costs the complementary positive one: the smallest nonnegative
-    equivalent of phi is charged.  ``tau`` is the physical force time.
+    equivalent of phi is charged.  ``tau`` is the physical force time.  A
+    time beyond the float range raises DomainError naming it.
     """
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
-    rotation_time = (phi % (2.0 * math.pi)) / p.omega
-    time_used = rotation_time + tau
+    rotation_time = finite("rotation time", float(phi % (2.0 * math.pi)) / p.omega)
+    time_used = finite("time used", rotation_time + finite("force time", tau))
     rate = p.gamma_mech * p.n_th
     budget = math.inf if rate == 0.0 else 1.0 / rate
     return DecoherenceBudget(

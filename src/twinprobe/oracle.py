@@ -37,7 +37,7 @@ from .dynamics import (
     thermal_covariance,
     transfer_matrix,
 )
-from .gaussian import VACUUM_VARIANCE, CovarianceMatrix, QuadratureVector, direct_sum, vacuum
+from .gaussian import VACUUM_VARIANCE, CovarianceMatrix, direct_sum, vacuum
 from .metrology import SIGNAL_PRINTED, MeterParams, noise, phi_opt, signal_coeff
 
 __all__ = [
@@ -50,8 +50,6 @@ __all__ = [
     "VerificationReport",
     "build_entangler_system",
     "build_measurement_system",
-    "symplectic_form",
-    "hamiltonian_defect",
     "propagator",
     "integrate_moments",
     "full_model_deviation",
@@ -136,62 +134,25 @@ def build_entangler_system(p: ProbeParams, adiabatic: bool = True) -> LinearSyst
     return LinearSystem(a, np.zeros(6), label="entangler-full")
 
 
-def build_measurement_system(
-    m: MeterParams,
-    force: float = 1.0,
-    omega: float = 1.0,
-) -> LinearSystem:
+def build_measurement_system(m: MeterParams) -> LinearSystem:
     """Drift and drive of the readout stage, ordering (q1,p1,q2,p2,X1,Y1,X2,Y2).
 
-    Each probe position feeds its meter phase quadrature Y_j at rate
-    g*gamma (opposite signs for the two probes) while the static meter
-    amplitude X_j pushes back on the probe momentum at rate 2*g*gamma.
-    The force enters the two momenta with weight +/- sqrt(2)*omega, so
-    that the summed meter phase accumulates it.
+    Time is in units of 1/omega.  Each probe position feeds its meter phase
+    quadrature Y_j at rate kappa (opposite signs for the two probes) while
+    the static meter amplitude X_j pushes back on the probe momentum at rate
+    2*kappa.  A unit force enters the two momenta with weight +/- sqrt(2),
+    so that the summed meter phase accumulates it.
     """
-    if omega <= 0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    gg = m.kappa * omega  # composite g*gamma
     a = np.zeros((8, 8))
     for qi, pi, xi, yi, sign in [(0, 1, 4, 5, +1.0), (2, 3, 6, 7, -1.0)]:
-        a[qi, pi] = omega
-        a[pi, qi] = -omega
-        a[pi, xi] = sign * 2.0 * gg
-        a[yi, qi] = sign * gg
+        a[qi, pi] = 1.0
+        a[pi, qi] = -1.0
+        a[pi, xi] = sign * 2.0 * m.kappa
+        a[yi, qi] = sign * m.kappa
     b = np.zeros(8)
-    b[1] = math.sqrt(2.0) * omega * force
-    b[3] = -math.sqrt(2.0) * omega * force
+    b[1] = math.sqrt(2.0)
+    b[3] = -math.sqrt(2.0)
     return LinearSystem(a, b, label="measurement")
-
-
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """Block-diagonal symplectic form for (q, p) pairs, [q, p] = i."""
-    j = np.zeros((2 * n_modes, 2 * n_modes))
-    for k in range(n_modes):
-        j[2 * k, 2 * k + 1] = 1.0
-        j[2 * k + 1, 2 * k] = -1.0
-    return j
-
-
-def hamiltonian_defect(system: LinearSystem) -> float:
-    """Asymmetry of the quadratic form generating the drift.
-
-    Zero (to roundoff) iff the drift is J @ H with H symmetric, i.e. the
-    flow is Hamiltonian and the propagator symplectic.
-    """
-    if system.dim % 2 != 0:
-        raise ValueError("hamiltonian check needs an even dimension")
-    j = symplectic_form(system.dim // 2)
-    h = j.T @ system.drift
-    return float(np.max(np.abs(h - h.T)))
-
-
-def _default_step(a: np.ndarray) -> float:
-    # 1e4 steps per period of the fastest oscillation in the drift
-    fast = float(np.max(np.abs(np.linalg.eigvals(a).imag)))
-    if fast == 0.0:
-        fast = max(float(np.linalg.norm(a, 2)), 1.0)
-    return (2.0 * math.pi / fast) / 1e4
 
 
 MAX_STEPS = 2**40  # per interval: a finer step is an input error, not hours of work
@@ -249,35 +210,26 @@ def integrate_moments(
     system: LinearSystem,
     mean0,
     cov0: CovarianceMatrix,
-    force: float = 0.0,
-    t_final: float = 0.0,
-    step: float | None = None,
-) -> tuple[QuadratureVector, CovarianceMatrix]:
+    force: float,
+    t_final: float,
+    step: float,
+) -> tuple[np.ndarray, CovarianceMatrix]:
     """Propagate mean and covariance to ``t_final`` with fixed-step RK4.
 
-    ``mean0`` may be None (zero mean), a QuadratureVector, or an array.
-    The drive is ``system.drive * force``.  The step defaults to 1e4
-    steps per period of the fastest drift oscillation; the actual step
+    ``mean0`` may be None (zero mean) or an array; the mean comes back as a
+    read-only array.  The drive is ``system.drive * force``; the actual step
     divides t_final exactly.
     """
     if not (math.isfinite(t_final) and t_final >= 0):
         raise ValueError(f"t_final must be finite and nonnegative, got {t_final}")
-    if step is not None:
-        _check_step(step)
-    if mean0 is None:
-        mean = np.zeros(system.dim)
-    elif isinstance(mean0, QuadratureVector):
-        mean = mean0.values.copy()
-    else:
-        mean = np.array(mean0, dtype=float)
+    _check_step(step)
+    mean = np.zeros(system.dim) if mean0 is None else np.array(mean0, dtype=float)
     if mean.shape != (system.dim,):
         raise ValueError(f"mean0 shape {mean.shape} does not match dim {system.dim}")
     if cov0.dim != system.dim:
         raise ValueError(f"cov0 dim {cov0.dim} does not match system dim {system.dim}")
     cov = cov0.matrix.copy()
     if t_final > 0:
-        if step is None:
-            step = _default_step(system.drift)
         d = system.dim
         # overflow here is not an error condition: it is how divergence
         # presents, and the finite check below turns it into a typed error
@@ -291,7 +243,8 @@ def integrate_moments(
         raise IntegrationDivergedError(
             f"integration diverged for {system.label or 'system'} at t={t_final}"
         )
-    return QuadratureVector(mean), CovarianceMatrix(cov)
+    mean.setflags(write=False)
+    return mean, CovarianceMatrix(cov)
 
 
 def full_model_deviation(p: ProbeParams, step: float | None = None) -> tuple[float, float]:
@@ -366,9 +319,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks if not c.informational)
 
-    def summary_lines(self) -> list[str]:
-        return [c.summary() for c in self.checks]
-
 
 def _rel(value: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Largest deviation over the last two axes, relative to max(1, |reference|)."""
@@ -436,16 +386,15 @@ def _check_transfer(grid: VerifyGrid) -> CheckResult:
 def _check_covariance(grid: VerifyGrid) -> CheckResult:
     cases, diffs, errors = [], [], []
     for ratio in grid.ratios:
+        p = ProbeParams.from_squeeze_ratio(1.0, ratio)
+        drift = build_entangler_system(p).drift
+        theta = relative_mode_frequency(p)
+        step, t_switch = (2.0 * math.pi / theta) / 2048.0, math.pi / (2.0 * theta)
+        x_h, x_fine = (propagator(drift, (t_switch,), h)[0] for h in (step, step / 2.0))
+        # each covariance is X C0 X^T, symmetrised, for the one propagator X per step
         for n_th in grid.n_ths:
-            p = ProbeParams.from_squeeze_ratio(1.0, ratio, n_th=n_th)
-            system = build_entangler_system(p)
-            theta = relative_mode_frequency(p)
-            step = (2.0 * math.pi / theta) / 2048.0
-            c0 = thermal_covariance(n_th)
-            c_h, c_fine = (
-                integrate_moments(system, None, c0, 0.0, math.pi / (2.0 * theta), h)[1].matrix
-                for h in (step, step / 2.0)
-            )
+            c0 = thermal_covariance(n_th).matrix
+            c_h, c_fine = (0.5 * (c + c.T) for c in (x @ c0 @ x.T for x in (x_h, x_fine)))
             cases.append(f"ratio={ratio:g} n_th={n_th:g}")
             diffs.append(_rel(c_h, c_fine))
             errors.append(_rel(c_fine, entangled_covariance(ratio, n_th).matrix))

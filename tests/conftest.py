@@ -2,9 +2,19 @@ import os
 import warnings
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 from twinprobe import cli
+
+
+def symplectic_form(n_modes):
+    """Block-diagonal symplectic form for (q, p) pairs, [q, p] = i."""
+    j = np.zeros((2 * n_modes, 2 * n_modes))
+    for k in range(n_modes):
+        j[2 * k, 2 * k + 1] = 1.0
+        j[2 * k + 1, 2 * k] = -1.0
+    return j
 
 
 class CliResult(NamedTuple):

@@ -178,14 +178,32 @@ def test_fig1_gnuplot_script(launch_cli, tmp_path):
         ("fig1", "--gnuplot", "fig1.csv"),
         ("fig2", "--gnuplot", "./fig2.csv"),
         ("fig1", "--out", "a.csv", "--gnuplot", "{tmp}/a.csv"),
+        ("fig1", "--config", "run.cfg", "--out", "run.cfg"),
+        ("fmin", "--config", "run.cfg", "--out", "{tmp}/run.cfg"),
+        ("fig1", "--config", "run.cfg", "--gnuplot", "./run.cfg"),
+        ("TWINPROBE_CONFIG=run.cfg", "fig2", "--out", "run.cfg"),
+        ("fig1", "--config", "fig1.csv"),
     ],
 )
 def test_gnuplot_onto_the_csv_is_config_error(launch_cli, tmp_path, args):
-    proc = launch_cli(*(a.format(tmp=tmp_path) for a in args), "--points", "4")
+    # No output may land on the config file or on another output.  A
+    # NAME=value word sets an environment variable, as in the shell.
+    words = [a.format(tmp=tmp_path) for a in args]
+    env = dict(w.split("=", 1) for w in words if "=" in w)
+    words = [w for w in words if "=" not in w]
+    config = env.get("TWINPROBE_CONFIG") or dict(zip(words, words[1:])).get("--config")
+    text = b"kappa = 1.5\n"
+    if config:
+        (tmp_path / config).write_bytes(text)
+    proc = launch_cli(*words, "--points", "4", env_extra=env)
     assert proc.returncode == 2
-    assert proc.stderr.startswith("config error: gnuplot ")
-    assert "would overwrite the CSV" in proc.stderr
-    assert proc.stdout == "" and list(tmp_path.iterdir()) == []
+    key = "gnuplot" if "--gnuplot" in words else "out"
+    assert proc.stderr.startswith(f"config error: {key} ")
+    assert f"would overwrite the {'config file' if config else 'CSV'} " in proc.stderr
+    assert proc.stdout == ""
+    assert list(tmp_path.iterdir()) == ([tmp_path / config] if config else [])
+    if config:
+        assert (tmp_path / config).read_bytes() == text
 
 
 @pytest.mark.parametrize(
@@ -357,6 +375,26 @@ def test_domain_error_exit_codes(launch_cli):
     assert "domain error" in proc.stderr
     proc = launch_cli("fmin", "--tau-scaled", "0")
     assert proc.returncode == 3
+
+
+@pytest.mark.parametrize(
+    "args, quantity",
+    [
+        (("entangle", "--coupling-chi", "1e308"), "squeeze ratio"),
+        (("entangle", "--g-opt", "1e200", "--beta-abs", "1e200", "--delta", "1"), "squeeze ratio"),
+        (("entangle", "--g-opt", "1e100", "--beta-abs", "1e100", "--delta", "1"), "squeeze ratio"),
+        (("entangle", "--omega", "1e-300", "--coupling-chi", "1e300"), "squeeze ratio squared"),
+        (("entangle", "--r", "1e50", "--n-th", "1e300"), "variance product"),
+        (("entangle", "--coupling-chi", "5e199", "--n-th", "1e150"), "switch-off covariance"),
+        (("budget", "--omega", "1e-320"), "rotation time"),
+        (("budget", "--omega", "1e-300", "--tau-scaled", "1e10", "--phi", "0"), "force time"),
+    ],
+)
+def test_overflowing_quantity_is_domain_error(launch_cli, args, quantity):
+    proc = launch_cli(*args)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(f"domain error: {quantity} is beyond the float range")
+    assert proc.stdout == ""
 
 
 def test_missing_entangler_parameters_is_config_error(launch_cli):

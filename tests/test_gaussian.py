@@ -3,22 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from twinprobe.gaussian import (
-    CovarianceMatrix,
-    QuadratureVector,
-    congruence,
-    direct_sum,
-    vacuum,
-    validate,
-)
-
-
-def symplectic_form(n_modes):
-    j = np.zeros((2 * n_modes, 2 * n_modes))
-    for k in range(n_modes):
-        j[2 * k, 2 * k + 1] = 1.0
-        j[2 * k + 1, 2 * k] = -1.0
-    return j
+from conftest import symplectic_form
+from twinprobe.gaussian import CovarianceMatrix, direct_sum, vacuum, validate
 
 
 def random_symplectic(rng, n_modes):
@@ -102,18 +88,9 @@ def test_random_symplectic_states_stay_valid():
         base = CovarianceMatrix(np.diag(0.5 + rng.uniform(0.0, 3.0, size=4)))
         m = random_symplectic(rng, 2)
         assert np.max(np.abs(m @ j @ m.T - j)) < 1e-12
-        c = congruence(base, m)
+        c = CovarianceMatrix(m @ base.matrix @ m.T)
         report = validate(c)
         assert report.passed, report.failures
-
-
-def test_congruence_matches_manual():
-    rng = np.random.default_rng(11)
-    c = vacuum(1)
-    m = rng.normal(size=(2, 2))
-    assert np.allclose(congruence(c, m).matrix, m @ c.matrix @ m.T)
-    with pytest.raises(ValueError):
-        congruence(c, np.eye(4))
 
 
 def test_direct_sum_blocks():
@@ -124,21 +101,3 @@ def test_direct_sum_blocks():
     assert np.allclose(c.matrix[:2, :2], a.matrix)
     assert np.allclose(c.matrix[2:, 2:], b.matrix)
     assert np.all(c.matrix[:2, 2:] == 0.0)
-
-
-def test_quadratic_form_is_combination_variance():
-    c = CovarianceMatrix(np.array([[2.0, 0.5], [0.5, 1.0]]))
-    w = np.array([1.0, -1.0])
-    assert c.quadratic_form(w) == pytest.approx(2.0 + 1.0 - 2 * 0.5)
-    with pytest.raises(ValueError):
-        c.quadratic_form([1.0, 2.0, 3.0])
-
-
-def test_quadrature_vector_basics():
-    v = QuadratureVector([1.0, 2.0, 3.0, 4.0])
-    assert v.dim == 4
-    assert v[2] == 3.0
-    with pytest.raises(ValueError):
-        v.values[0] = 9.0
-    with pytest.raises(ValueError):
-        QuadratureVector(np.zeros((2, 2)))

@@ -15,18 +15,18 @@ import twinprobe
 
 SRC = str(Path(twinprobe.__file__).resolve().parent.parent)
 
-# the package's public names, as listed before the exports became lazy
+# the package's public names
 PUBLIC_NAMES = {
     "CovarianceMatrix", "DecoherenceBudget", "EntanglementReport", "EntanglerOutput",
     "IntegrationDivergedError", "KappaOptimum", "LinearSystem", "MeterParams",
-    "ProbeParams", "QuadratureVector", "SIGNAL_CONSISTENT", "SIGNAL_PRINTED", "SweepSpec",
+    "ProbeParams", "SIGNAL_CONSISTENT", "SIGNAL_PRINTED", "SweepSpec",
     "UndetectableForceError", "UnstableRegimeError", "ValidationReport",
     "VerificationReport", "VerifyGrid", "build_entangler_system",
-    "build_measurement_system", "congruence", "decoherence_budget", "direct_sum",
+    "build_measurement_system", "decoherence_budget", "direct_sum",
     "entangled_covariance", "f_min", "fig1_spec", "fig2_spec", "fmin_curve",
-    "full_model_deviation", "hamiltonian_defect", "integrate_moments", "is_entangled",
+    "full_model_deviation", "integrate_moments", "is_entangled",
     "noise", "occupation_from_temperature", "optimal_kappa", "phi_opt", "prepare",
-    "relative_mode_frequency", "rotate", "signal_coeff", "sql", "squeeze_ratio",
+    "relative_mode_frequency", "rotate", "signal_coeff", "sql",
     "thermal_covariance", "transfer_matrix", "vacuum", "validate", "verify_closed_forms",
     "__version__",
 }

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import symplectic_form
 from twinprobe.dynamics import (
     ProbeParams,
     entangled_covariance,
@@ -22,7 +23,6 @@ from twinprobe.oracle import (
     VerifyGrid,
     build_entangler_system,
     build_measurement_system,
-    hamiltonian_defect,
     integrate_moments,
     propagator,
     verify_closed_forms,
@@ -59,6 +59,12 @@ def test_adiabatic_drift_eigenfrequencies():
     assert sorted(np.round(eigs.imag, 9)) == [-2.0, -1.0, 1.0, 2.0]
 
 
+def hamiltonian_defect(system):
+    """Asymmetry of J^T A: zero iff the drift A is J H with H symmetric (a Hamiltonian flow)."""
+    h = symplectic_form(system.dim // 2).T @ system.drift
+    return float(np.max(np.abs(h - h.T)))
+
+
 def test_hamiltonian_defects():
     p = ProbeParams.from_coupling(1.0, 1.5, delta=100.0)
     assert hamiltonian_defect(build_entangler_system(p)) < 1e-12
@@ -80,7 +86,7 @@ def test_free_evolution_is_periodic():
     mean0 = np.array([1.0, 0.5, -0.3, 0.2])
     cov0 = thermal_covariance(3.0)
     mean, cov = integrate_moments(sys0, mean0, cov0, 0.0, 2 * PI, step=1e-3)
-    assert np.max(np.abs(mean.values - mean0)) < 1e-8
+    assert np.max(np.abs(mean - mean0)) < 1e-8
     assert np.max(np.abs(cov.matrix - cov0.matrix)) < 1e-8
 
 
@@ -94,7 +100,7 @@ def test_rk4_is_fourth_order():
 
     def err(step):
         mean, _ = integrate_moments(system, mean0, cov0, 0.0, t, step=step)
-        return np.max(np.abs(mean.values - exact))
+        return np.max(np.abs(mean - exact))
 
     ratio = err(1e-2) / err(5e-3)
     assert 12.0 < ratio < 20.0
@@ -110,7 +116,7 @@ def test_moments_match_transfer_closed_form():
         mean0 = rng.normal(size=4)
         c0 = CovarianceMatrix(np.diag(0.5 + rng.uniform(0.0, 2.0, size=4)))
         mean, cov = integrate_moments(system, mean0, c0, 0.0, t, step=1e-4)
-        assert np.max(np.abs(mean.values - m @ mean0)) < 1e-9
+        assert np.max(np.abs(mean - m @ mean0)) < 1e-9
         assert np.max(np.abs(cov.matrix - m @ c0.matrix @ m.T)) < 1e-9
 
 
@@ -118,20 +124,13 @@ def test_measurement_moments_match_closed_forms():
     kappa, tau, ratio, n_th = 1.0, PI / 2, 2.0, 20.0
     phi = phi_opt(tau)
     m = MeterParams(kappa=kappa, tau_scaled=tau, phi=phi)
-    system = build_measurement_system(m, force=1.0)
+    system = build_measurement_system(m)
     c0 = direct_sum(rotate(entangled_covariance(ratio, n_th), phi), vacuum(2))
     mean, cov = integrate_moments(system, None, c0, 1.0, tau, step=1e-4)
     w = np.zeros(8)
     w[5] = w[7] = 1.0
-    assert w @ mean.values == pytest.approx(signal_coeff(m), rel=1e-9)
-    assert cov.quadratic_form(w) == pytest.approx(noise(m, ratio, n_th), rel=1e-9)
-
-
-def test_default_step_is_fine_enough():
-    sys0 = build_entangler_system(ProbeParams(omega=1.0))
-    mean0 = np.array([1.0, 0.0, 1.0, 0.0])
-    mean, _ = integrate_moments(sys0, mean0, vacuum(2), 0.0, 2 * PI)
-    assert np.max(np.abs(mean.values - mean0)) < 1e-10
+    assert w @ mean == pytest.approx(signal_coeff(m), rel=1e-9)
+    assert w @ cov.matrix @ w == pytest.approx(noise(m, ratio, n_th), rel=1e-9)
 
 
 def test_integration_divergence_detected():
@@ -143,16 +142,21 @@ def test_integration_divergence_detected():
 def test_integrate_moments_argument_checks():
     sys0 = build_entangler_system(ProbeParams(omega=1.0))
     with pytest.raises(ValueError):
-        integrate_moments(sys0, None, vacuum(2), 0.0, -1.0)
+        integrate_moments(sys0, None, vacuum(2), 0.0, -1.0, 0.01)
     with pytest.raises(ValueError):
         integrate_moments(sys0, None, vacuum(2), 0.0, 1.0, step=0.0)
     with pytest.raises(ValueError):
-        integrate_moments(sys0, np.zeros(3), vacuum(2), 0.0, 1.0)
+        integrate_moments(sys0, np.zeros(3), vacuum(2), 0.0, 1.0, 0.01)
     with pytest.raises(ValueError):
-        integrate_moments(sys0, None, vacuum(3), 0.0, 1.0)
-    mean, cov = integrate_moments(sys0, None, vacuum(2), 0.0, 0.0)
-    assert np.array_equal(mean.values, np.zeros(4))
+        integrate_moments(sys0, None, vacuum(3), 0.0, 1.0, 0.01)
+    mean, cov = integrate_moments(sys0, None, vacuum(2), 0.0, 0.0, 0.01)
+    assert np.array_equal(mean, np.zeros(4))
     assert np.array_equal(cov.matrix, vacuum(2).matrix)
+    mean0 = np.ones(4)
+    mean, _ = integrate_moments(sys0, mean0, vacuum(2), 0.0, 1.0, 0.01)
+    with pytest.raises(ValueError):
+        mean[0] = 9.0  # the returned mean is read-only
+    assert np.array_equal(mean0, np.ones(4))
 
 
 def test_verify_small_grid_passes():
@@ -185,8 +189,7 @@ def test_verify_unattainable_tolerance_fails():
     assert not report.passed
     readout = report.checks[-1]
     assert readout.failures
-    lines = report.summary_lines()
-    assert any("FAIL" in line for line in lines)
+    assert any("FAIL" in check.summary() for check in report.checks)
 
 
 @pytest.mark.parametrize(
@@ -306,22 +309,23 @@ def test_oracle_matches_closed_forms_everywhere(ratio, n_th, kappa, tau):
     def rel(got, want):
         return np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
 
+    # 1e4 steps per period of the fastest mode: the relative one, then the probes'
     p = ProbeParams.from_squeeze_ratio(1.0, ratio, n_th=n_th)
     system = build_entangler_system(p)
-    columns = [
-        integrate_moments(system, e, vacuum(2), 0.0, tau)[0].values for e in np.eye(4)
-    ]
+    theta = relative_mode_frequency(p)
+    step = 2.0 * PI / theta / 1e4
+    columns = [integrate_moments(system, e, vacuum(2), 0.0, tau, step)[0] for e in np.eye(4)]
     assert rel(np.column_stack(columns), transfer_matrix(p, tau)) <= 1e-8
 
-    t_star = PI / (2.0 * relative_mode_frequency(p))
-    _, cov = integrate_moments(system, None, thermal_covariance(n_th), 0.0, t_star)
+    t_star = PI / (2.0 * theta)
+    _, cov = integrate_moments(system, None, thermal_covariance(n_th), 0.0, t_star, step)
     assert rel(cov.matrix, entangled_covariance(ratio, n_th).matrix) <= 1e-8
 
     phi = phi_opt(tau)
     m = MeterParams(kappa=kappa, tau_scaled=tau, phi=phi)
     c0 = direct_sum(rotate(entangled_covariance(ratio, n_th), phi), vacuum(2))
-    mean, cov = integrate_moments(build_measurement_system(m), None, c0, 1.0, tau)
+    mean, cov = integrate_moments(build_measurement_system(m), None, c0, 1.0, tau, 2.0 * PI / 1e4)
     w = np.zeros(8)
     w[5] = w[7] = 1.0
-    assert w @ mean.values == pytest.approx(signal_coeff(m), rel=1e-8)
-    assert cov.quadratic_form(w) == pytest.approx(noise(m, ratio, n_th), rel=1e-8)
+    assert w @ mean == pytest.approx(signal_coeff(m), rel=1e-8)
+    assert w @ cov.matrix @ w == pytest.approx(noise(m, ratio, n_th), rel=1e-8)
