@@ -277,25 +277,17 @@ def _probe_params(cfg: RunConfig) -> ProbeParams:
         return ProbeParams.from_squeeze_ratio(
             cfg.omega, cfg.r, delta=cfg.delta, n_th=n_th, gamma_mech=cfg.gamma_mech
         )
-    if cfg.coupling_chi is not None:
-        return ProbeParams.from_coupling(
-            cfg.omega,
-            cfg.coupling_chi,
-            delta=cfg.delta,
-            n_th=n_th,
-            gamma_mech=cfg.gamma_mech,
-        )
+    coupling = cfg.coupling_chi
     if cfg.g_opt is not None or cfg.beta_abs is not None:
         if cfg.g_opt is None or cfg.beta_abs is None or cfg.delta is None:
             raise ConfigError("raw coupling needs all of --g-opt, --beta-abs, --delta")
-        return ProbeParams(
-            omega=cfg.omega,
-            g_opt=cfg.g_opt,
-            beta_abs=cfg.beta_abs,
-            delta=cfg.delta,
-            n_th=n_th,
-            gamma_mech=cfg.gamma_mech,
-        )
+        if cfg.delta == 0:
+            raise ConfigError("delta must be nonzero")
+        # (2 g |beta|)^2 / delta; a product overflows to inf where ** would raise
+        push = 2.0 * cfg.g_opt * cfg.beta_abs
+        coupling = push * push / cfg.delta
+    if coupling is not None:
+        return ProbeParams(cfg.omega, coupling, cfg.delta, n_th, cfg.gamma_mech)
     raise ConfigError("entangler needs --r, --coupling-chi, or --g-opt/--beta-abs/--delta")
 
 
@@ -386,6 +378,10 @@ def cmd_entangle(cfg: RunConfig) -> int:
 
     p = _probe_params(cfg)
     out = prepare(p)
+    if cfg.full_model:  # before any output, so a refused full model prints nothing
+        from .oracle import full_model_deviation
+
+        dev, delta = full_model_deviation(p, cfg.step)
     rep = out.report
     print(f"relative mode frequency = {_g(out.mode_frequency)}")
     print(f"squeeze ratio           = {_g(out.ratio)}")
@@ -399,9 +395,6 @@ def cmd_entangle(cfg: RunConfig) -> int:
     print(f"squeeze margin          = {_g(rep.squeeze_margin)}")
     print(f"entangled               = {'yes' if rep.entangled else 'no'}")
     if cfg.full_model:
-        from .oracle import full_model_deviation
-
-        dev, delta = full_model_deviation(p, cfg.step)
         print(
             f"full-model deviation    = {dev:.3e} "
             f"(relative, delta/omega = {_g(delta / p.omega)})"

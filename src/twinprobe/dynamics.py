@@ -23,7 +23,6 @@ __all__ = [
     "ProbeParams",
     "EntanglerOutput",
     "EntanglementReport",
-    "coupling_strength",
     "relative_mode_frequency",
     "transfer_matrix",
     "thermal_covariance",
@@ -45,18 +44,18 @@ class ProbeParams:
     """Physical inputs of the entangling stage.
 
     omega       mechanical frequency of both probes
-    g_opt       single-photon optomechanical coupling
-    beta_abs    magnitude of the steady cavity amplitude
-    delta       cavity detuning (required whenever the shifted mode
-                frequency is evaluated with a nonzero coupling)
+    coupling    composite coupling (2 g |beta|)^2 / delta of the
+                eliminated cavity, for single-photon coupling g, steady
+                cavity amplitude beta and detuning delta
+    delta       cavity detuning, nonzero and of the coupling's sign; it
+                matters only when the cavity is kept (full model)
     n_th        thermal occupation of each probe before the coupling
     gamma_mech  mechanical damping rate, used only for the decoherence
                 time budget
     """
 
     omega: float
-    g_opt: float = 0.0
-    beta_abs: float = 0.0
+    coupling: float = 0.0
     delta: float | None = None
     n_th: float = 0.0
     gamma_mech: float = 0.0
@@ -68,37 +67,11 @@ class ProbeParams:
             raise ValueError(f"n_th must be nonnegative, got {self.n_th}")
         if self.gamma_mech < 0:
             raise ValueError(f"gamma_mech must be nonnegative, got {self.gamma_mech}")
-
-    @classmethod
-    def from_coupling(
-        cls,
-        omega: float,
-        coupling: float,
-        *,
-        delta: float | None = None,
-        n_th: float = 0.0,
-        gamma_mech: float = 0.0,
-    ) -> "ProbeParams":
-        """Build params realizing a given composite coupling (2 g |beta|)^2 / delta.
-
-        The detuning defaults to 100 * omega, deep in the adiabatic regime;
-        it only matters when the full (non-adiabatic) model is propagated.
-        """
-        if delta is None:
-            delta = 100.0 * omega if coupling >= 0 else -100.0 * omega
-        if delta == 0:
-            raise ValueError("delta must be nonzero")
-        if coupling * delta < 0:
-            raise ValueError("coupling and delta must have the same sign")
-        g_opt = math.sqrt(coupling * delta) / 2.0
-        return cls(
-            omega=omega,
-            g_opt=g_opt,
-            beta_abs=1.0,
-            delta=delta,
-            n_th=n_th,
-            gamma_mech=gamma_mech,
-        )
+        if self.delta is not None:
+            if self.delta == 0:
+                raise ValueError("delta must be nonzero")
+            if self.coupling * self.delta < 0:
+                raise ValueError("coupling and delta must have the same sign")
 
     @classmethod
     def from_squeeze_ratio(
@@ -113,31 +86,16 @@ class ProbeParams:
         """Build params whose normal-mode frequency ratio equals ``ratio`` (>= 1)."""
         if ratio < 1.0:
             raise ValueError(f"squeeze ratio must be >= 1, got {ratio}")
-        coupling = omega * (ratio**2 - 1.0) / 2.0
-        if coupling == 0.0:
-            return cls(omega=omega, delta=delta, n_th=n_th, gamma_mech=gamma_mech)
-        return cls.from_coupling(
-            omega, coupling, delta=delta, n_th=n_th, gamma_mech=gamma_mech
-        )
-
-
-def coupling_strength(p: ProbeParams) -> float:
-    """Composite coupling (2 g |beta|)^2 / delta of the eliminated cavity."""
-    if p.g_opt * p.beta_abs == 0.0:
-        return 0.0
-    if p.delta is None or p.delta == 0:
-        raise ValueError("delta must be nonzero when the coupling is nonzero")
-    return (2.0 * p.g_opt * p.beta_abs) ** 2 / p.delta
+        return cls(omega, omega * (ratio**2 - 1.0) / 2.0, delta, n_th, gamma_mech)
 
 
 def relative_mode_frequency(p: ProbeParams) -> float:
     """Frequency of the relative normal mode under the cavity-mediated spring."""
-    radicand = p.omega * (p.omega + 2.0 * coupling_strength(p))
-    if radicand <= 0:
-        raise UnstableRegimeError(
-            f"relative mode unstable: omega*(omega + 2*coupling) = {radicand}"
-        )
-    return math.sqrt(radicand)
+    stiffness = p.omega + 2.0 * p.coupling
+    if not stiffness > 0:
+        raise UnstableRegimeError(f"relative mode unstable: omega + 2*coupling = {stiffness}")
+    # two roots, not the root of a product that can underflow to 0
+    return math.sqrt(p.omega) * math.sqrt(stiffness)
 
 
 def transfer_matrix(p: ProbeParams, t: float) -> np.ndarray:
@@ -295,10 +253,7 @@ def prepare(p: ProbeParams) -> EntanglerOutput:
 
     A reported quantity beyond the float range raises DomainError naming it.
     """
-    try:
-        theta = relative_mode_frequency(p)
-    except OverflowError:  # (2 g |beta|)**2
-        theta = math.inf
+    theta = relative_mode_frequency(p)
     ratio = finite("squeeze ratio", theta / p.omega)  # also catches an infinite theta
     if ratio < 1.0:
         raise UnstableRegimeError(

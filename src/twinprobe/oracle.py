@@ -29,7 +29,6 @@ import numpy as np
 from ._common import DomainError
 from .dynamics import (
     ProbeParams,
-    coupling_strength,
     entangled_covariance,
     mode_rotation,
     prepare,
@@ -105,7 +104,7 @@ def build_entangler_system(p: ProbeParams, adiabatic: bool = True) -> LinearSyst
     """
     w = p.omega
     if adiabatic:
-        chi = coupling_strength(p)
+        chi = p.coupling
         a = np.array(
             [
                 [0.0, w, 0.0, 0.0],
@@ -115,9 +114,9 @@ def build_entangler_system(p: ProbeParams, adiabatic: bool = True) -> LinearSyst
             ]
         )
         return LinearSystem(a, np.zeros(4), label="entangler-adiabatic")
-    if p.delta is None or p.delta == 0:
+    if p.delta is None:
         raise ValueError("full entangler model requires nonzero delta")
-    gb = p.g_opt * p.beta_abs
+    gb = math.sqrt(p.coupling * p.delta) / 2.0  # g |beta|
     push = 2.0 * math.sqrt(2.0) * gb  # cavity amplitude -> probe momentum
     feed = math.sqrt(2.0) * gb  # relative coordinate -> cavity phase
     d = p.delta
@@ -134,7 +133,7 @@ def build_entangler_system(p: ProbeParams, adiabatic: bool = True) -> LinearSyst
     return LinearSystem(a, np.zeros(6), label="entangler-full")
 
 
-def build_measurement_system(m: MeterParams) -> LinearSystem:
+def build_measurement_system(kappa: float) -> LinearSystem:
     """Drift and drive of the readout stage, ordering (q1,p1,q2,p2,X1,Y1,X2,Y2).
 
     Time is in units of 1/omega.  Each probe position feeds its meter phase
@@ -147,8 +146,8 @@ def build_measurement_system(m: MeterParams) -> LinearSystem:
     for qi, pi, xi, yi, sign in [(0, 1, 4, 5, +1.0), (2, 3, 6, 7, -1.0)]:
         a[qi, pi] = 1.0
         a[pi, qi] = -1.0
-        a[pi, xi] = sign * 2.0 * m.kappa
-        a[yi, qi] = sign * m.kappa
+        a[pi, xi] = sign * 2.0 * kappa
+        a[yi, qi] = sign * kappa
     b = np.zeros(8)
     b[1] = math.sqrt(2.0)
     b[3] = -math.sqrt(2.0)
@@ -251,19 +250,19 @@ def full_model_deviation(p: ProbeParams, step: float | None = None) -> tuple[flo
     """Relative probe-covariance deviation of the full cavity model.
 
     Propagates the six-dimensional model (cavity kept; delta defaults to
-    100 omega, the step to 1/300 of its period) from the thermal state to
-    the switch-off time and compares the probe block against the
-    adiabatic closed form.  Returns (deviation, delta).
+    100 omega with the coupling's sign, the step to 1/300 of its period)
+    from the thermal state to the switch-off time and compares the probe
+    block against the adiabatic closed form.  Returns (deviation, delta).
     """
     if p.delta is None:
-        p = replace(p, delta=100.0 * p.omega)
+        p = replace(p, delta=(100.0 if p.coupling >= 0 else -100.0) * p.omega)
+    closed = prepare(p)
     system = build_entangler_system(p, adiabatic=False)
-    t_star = math.pi / (2.0 * relative_mode_frequency(p))
     if step is None:
         step = (2.0 * math.pi / abs(p.delta)) / 300.0
     c0 = direct_sum(thermal_covariance(p.n_th), vacuum(1))
-    _, c = integrate_moments(system, None, c0, 0.0, t_star, step)
-    target = prepare(p).covariance.matrix
+    _, c = integrate_moments(system, None, c0, 0.0, closed.switch_off_time, step)
+    target = closed.covariance.matrix
     dev = float(abs(c.matrix[:4, :4] - target).max() / max(1.0, abs(target).max()))
     return dev, p.delta
 
@@ -369,36 +368,40 @@ def _result(
     )
 
 
-def _check_transfer(grid: VerifyGrid) -> CheckResult:
-    cases, diffs, errors = [], [], []
-    for ratio in grid.ratios:
-        p = ProbeParams.from_squeeze_ratio(1.0, ratio)
-        drift = build_entangler_system(p).drift
-        step = (2.0 * math.pi / relative_mode_frequency(p)) / 2048.0
-        for t in grid.transfer_times:
-            m_h, m_fine = (propagator(drift, (t,), h)[0] for h in (step, step / 2.0))
-            cases.append(f"ratio={ratio:g} t={t:g}")
-            diffs.append(_rel(m_h, m_fine))
-            errors.append(_rel(m_fine, transfer_matrix(p, t)))
-    return _result("entangler-transfer", ENTANGLER_TOLERANCE, cases, diffs, errors)
+def _check_entangler(grid: VerifyGrid) -> list[CheckResult]:
+    """The transfer-matrix and switch-off-covariance checks, one pass per ratio.
 
-
-def _check_covariance(grid: VerifyGrid) -> CheckResult:
-    cases, diffs, errors = [], [], []
+    A ratio's params, drift and step are built once, and so is its h and
+    h/2 propagator pair at each distinct time: the transfer times and,
+    when the grid has occupations, the switch-off time.  Each covariance
+    is X C0 X^T, symmetrised, for the switch-off propagator X per step.
+    """
+    t_cases, t_diffs, t_errors = [], [], []
+    c_cases, c_diffs, c_errors = [], [], []
     for ratio in grid.ratios:
         p = ProbeParams.from_squeeze_ratio(1.0, ratio)
         drift = build_entangler_system(p).drift
         theta = relative_mode_frequency(p)
         step, t_switch = (2.0 * math.pi / theta) / 2048.0, math.pi / (2.0 * theta)
-        x_h, x_fine = (propagator(drift, (t_switch,), h)[0] for h in (step, step / 2.0))
-        # each covariance is X C0 X^T, symmetrised, for the one propagator X per step
+        times = grid.transfer_times + ((t_switch,) if grid.n_ths else ())
+        pairs = {
+            t: [propagator(drift, (t,), h)[0] for h in (step, step / 2.0)] for t in set(times)
+        }
+        for t in grid.transfer_times:
+            m_h, m_fine = pairs[t]
+            t_cases.append(f"ratio={ratio:g} t={t:g}")
+            t_diffs.append(_rel(m_h, m_fine))
+            t_errors.append(_rel(m_fine, transfer_matrix(p, t)))
         for n_th in grid.n_ths:
             c0 = thermal_covariance(n_th).matrix
-            c_h, c_fine = (0.5 * (c + c.T) for c in (x @ c0 @ x.T for x in (x_h, x_fine)))
-            cases.append(f"ratio={ratio:g} n_th={n_th:g}")
-            diffs.append(_rel(c_h, c_fine))
-            errors.append(_rel(c_fine, entangled_covariance(ratio, n_th).matrix))
-    return _result("switch-off-covariance", ENTANGLER_TOLERANCE, cases, diffs, errors)
+            c_h, c_fine = (0.5 * (c + c.T) for c in (x @ c0 @ x.T for x in pairs[t_switch]))
+            c_cases.append(f"ratio={ratio:g} n_th={n_th:g}")
+            c_diffs.append(_rel(c_h, c_fine))
+            c_errors.append(_rel(c_fine, entangled_covariance(ratio, n_th).matrix))
+    return [
+        _result("entangler-transfer", ENTANGLER_TOLERANCE, t_cases, t_diffs, t_errors),
+        _result("switch-off-covariance", ENTANGLER_TOLERANCE, c_cases, c_diffs, c_errors),
+    ]
 
 
 def _check_readout(
@@ -414,10 +417,7 @@ def _check_readout(
     )
     # (kappa, tau, 9, 9) propagators of the readout with a unit force column
     step = math.pi / 2048.0
-    drifts = [
-        build_measurement_system(MeterParams(kappa=k, tau_scaled=0.0)).augmented(1.0)
-        for k in grid.kappas
-    ]
+    drifts = [build_measurement_system(k).augmented(1.0) for k in grid.kappas]
     shape = (len(drifts), len(taus), 9, 9)
     x_h, x_fine = (
         np.reshape([propagator(a, taus, h) for a in drifts], shape) for h in (step, step / 2.0)
@@ -483,8 +483,7 @@ def verify_closed_forms(
     """
     grid = grid or VerifyGrid()
     checks = [
-        _check_transfer(grid),
-        _check_covariance(grid),
+        *_check_entangler(grid),
         *_check_readout(grid, tolerance, include_printed_signal),
     ]
     return VerificationReport(tuple(checks))

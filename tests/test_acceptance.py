@@ -106,7 +106,7 @@ def test_full_period_state_independence():
     target = 0.709342150861502841
     got = f_min(MeterParams(kappa=1.0, tau_scaled=2.0 * PI), 1.0, 0.0)
 
-    system = build_measurement_system(MeterParams(kappa=1.0, tau_scaled=2.0 * PI))
+    system = build_measurement_system(1.0)
     c0 = direct_sum(entangled_covariance(1.0, 0.0), vacuum(2))
     w = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0])
     mean_f, _ = integrate_moments(

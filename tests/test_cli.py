@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from twinprobe import cli
 from twinprobe.cli import RunConfig
@@ -42,6 +44,61 @@ def test_entangle_thermal_verdicts(launch_cli):
     assert "entangled               = yes" in proc.stdout
 
 
+def entangle_numbers(proc):
+    """The numbers ``entangle`` printed, in order, and its verdict line."""
+    assert proc.returncode == 0, proc.stderr
+    *lines, verdict = proc.stdout.splitlines()
+    del lines[3]  # "covariance (q1, p1, q2, p2):"
+    return [float(word) for line in lines for word in line.split("=")[-1].split()], verdict
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    ratio=st.floats(1.0, 1e3),
+    delta=st.floats(1.0, 1e4),
+    n_th=st.floats(0.0, 1e3),
+)
+def test_entangle_routes_agree(launch_cli, ratio, delta, n_th):
+    # the same pair given by its squeeze ratio, its composite coupling and
+    # its raw cavity parameters (2 g |beta|)^2 / delta = chi
+    chi = (ratio**2 - 1.0) / 2.0
+    routes = [
+        ("--r", repr(ratio)),
+        ("--coupling-chi", repr(chi)),
+        ("--g-opt", repr(math.sqrt(chi * delta) / 2.0), "--beta-abs", "1", "--delta", repr(delta)),
+    ]
+    (want, verdict), *others = (
+        entangle_numbers(launch_cli("entangle", *route, "--n-th", repr(n_th))) for route in routes
+    )
+    assert len(want) == 23
+    for got, got_verdict in others:
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert got_verdict == verdict
+
+
+def test_entangle_stable_pair_does_not_underflow(launch_cli):
+    proc = launch_cli("entangle", "--omega", "1e-200", "--coupling-chi", "1e-200")
+    assert proc.returncode == 0, proc.stderr
+    assert "squeeze ratio           = 1.73205080757\n" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--r", "2", "--full-model", "--delta", "1e13"),
+        ("--g-opt", "0", "--beta-abs", "1", "--delta", "0", "--full-model"),
+        ("--g-opt", "0", "--beta-abs", "0", "--delta", "0"),
+    ],
+)
+def test_refused_entangle_prints_nothing(launch_cli, args):
+    proc = launch_cli("entangle", *args)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: ")
+    assert proc.stdout == ""
+
+
 def test_entangle_rejects_conflicting_parametrizations(launch_cli):
     proc = launch_cli("entangle", "--r", "2", "--coupling-chi", "1.5")
     assert proc.returncode == 2
@@ -71,6 +128,7 @@ def test_entangle_full_model_rejects_bad_step(launch_cli, step):
     assert proc.returncode == 2
     assert "config error: step" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_fmin_frozen_point(launch_cli):
@@ -373,6 +431,9 @@ def test_domain_error_exit_codes(launch_cli):
     proc = launch_cli("entangle", "--coupling-chi", "-0.9")
     assert proc.returncode == 3
     assert "domain error" in proc.stderr
+    proc = launch_cli("entangle", "--coupling-chi", "-0.5")
+    assert proc.returncode == 3
+    assert proc.stderr == "domain error: relative mode unstable: omega + 2*coupling = 0.0\n"
     proc = launch_cli("fmin", "--tau-scaled", "0")
     assert proc.returncode == 3
 

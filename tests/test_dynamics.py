@@ -9,7 +9,6 @@ from conftest import symplectic_form
 from twinprobe.dynamics import (
     ProbeParams,
     UnstableRegimeError,
-    coupling_strength,
     entangled_covariance,
     is_entangled,
     mode_rotation,
@@ -21,6 +20,7 @@ from twinprobe.dynamics import (
     transfer_matrix,
 )
 from twinprobe.gaussian import validate
+from twinprobe.oracle import build_entangler_system
 
 
 def test_param_validation():
@@ -31,19 +31,18 @@ def test_param_validation():
     with pytest.raises(ValueError):
         ProbeParams(omega=1.0, gamma_mech=-0.1)
     with pytest.raises(ValueError):
-        ProbeParams.from_coupling(1.0, 1.5, delta=0.0)
+        ProbeParams(omega=1.0, coupling=1.5, delta=0.0)
     with pytest.raises(ValueError):
-        ProbeParams.from_coupling(1.0, 1.5, delta=-2.0)
+        ProbeParams(omega=1.0, coupling=1.5, delta=-2.0)
     with pytest.raises(ValueError):
         ProbeParams.from_squeeze_ratio(1.0, 0.5)
 
 
 def test_mode_frequency_examples():
     # raw parameters: 2*G*|beta| = 1, delta = 2 -> coupling 0.5 -> sqrt(2)
-    p = ProbeParams(omega=1.0, g_opt=0.5, beta_abs=1.0, delta=2.0)
-    assert coupling_strength(p) == pytest.approx(0.5)
+    p = ProbeParams(omega=1.0, coupling=0.5, delta=2.0)
     assert relative_mode_frequency(p) == pytest.approx(math.sqrt(2.0))
-    p = ProbeParams.from_coupling(1.0, 1.5)
+    p = ProbeParams(omega=1.0, coupling=1.5)
     assert relative_mode_frequency(p) == pytest.approx(2.0)
     assert relative_mode_frequency(p) / p.omega == pytest.approx(2.0)
 
@@ -52,14 +51,16 @@ def test_squeeze_ratio_roundtrip():
     for ratio in (1.0, math.sqrt(2.0), 2.0, 10.0):
         p = ProbeParams.from_squeeze_ratio(1.0, ratio)
         assert relative_mode_frequency(p) / p.omega == pytest.approx(ratio, rel=1e-12)
+    # omega + 2*coupling = ratio**2 exactly here, so theta carries no rounding
+    assert relative_mode_frequency(ProbeParams.from_squeeze_ratio(1.0, 1e3)) == 1e3
 
 
 def test_unstable_regime_raises():
     # omega + 2*coupling <= 0 has no real relative-mode frequency
     with pytest.raises(UnstableRegimeError):
-        relative_mode_frequency(ProbeParams.from_coupling(1.0, -0.9, delta=-1.0))
-    with pytest.raises(UnstableRegimeError):
-        relative_mode_frequency(ProbeParams.from_coupling(1.0, -0.5, delta=-1.0))
+        relative_mode_frequency(ProbeParams(omega=1.0, coupling=-0.9, delta=-1.0))
+    with pytest.raises(UnstableRegimeError, match=r"omega \+ 2\*coupling = 0\.0$"):
+        relative_mode_frequency(ProbeParams(omega=1.0, coupling=-0.5, delta=-1.0))
 
 
 def test_transfer_identity_at_zero():
@@ -92,7 +93,7 @@ def test_transfer_is_symplectic(omega, route, strength, t_periods):
         p = ProbeParams.from_squeeze_ratio(omega, 1.0 + 9.0 * strength)
     else:
         # composite coupling from the softest stable spring, -0.45 omega, up to 50 omega
-        p = ProbeParams.from_coupling(omega, omega * (-0.45 + 50.45 * strength))
+        p = ProbeParams(omega=omega, coupling=omega * (-0.45 + 50.45 * strength))
     m = transfer_matrix(p, 2.0 * math.pi * t_periods / relative_mode_frequency(p))
     assert np.max(np.abs(m @ j @ m.T - j)) < 1e-10
 
@@ -125,6 +126,31 @@ def test_transfer_at_switchoff_reproduces_entangled_covariance():
             assert np.max(np.abs(got - want.matrix)) < 1e-12 * max(
                 1.0, np.max(np.abs(want.matrix))
             )
+
+
+@pytest.mark.parametrize("ratio", [1.0, 2.0, 10.0, 1e3])
+def test_closed_forms_match_arbitrary_precision_expm(ratio):
+    # expm of the adiabatic drift at 40 digits, independent of the RK4 oracle;
+    # the closed forms may differ by the rounding of the phase theta*t
+    mpmath = pytest.importorskip("mpmath")
+    p = ProbeParams.from_squeeze_ratio(1.0, ratio)
+    theta = relative_mode_frequency(p)
+    t_switch = prepare(p).switch_off_time
+
+    def rel(got, want):
+        want = np.array(want.tolist(), dtype=float)
+        return np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
+
+    with mpmath.workdps(40):
+        drift = mpmath.matrix(build_entangler_system(p).drift.tolist())
+        for t in (1e-6, 0.35, math.pi / 2.0, 2.8, 2.0 * math.pi, t_switch):
+            x = mpmath.expm(drift * t)
+            bound = 4.0 * np.finfo(float).eps * ratio * max(1.0, theta * t)
+            assert rel(transfer_matrix(p, t), x) <= bound, t
+        # x and bound now belong to the switch-off time, the last t above
+        for n_th in (0.0, 20.0, 1e3):
+            c = x * mpmath.matrix(thermal_covariance(n_th).matrix.tolist()) * x.T
+            assert rel(entangled_covariance(ratio, n_th).matrix, c) <= bound, n_th
 
 
 def test_thermal_covariance_values():

@@ -53,7 +53,7 @@ def test_linear_system_validation():
 
 def test_adiabatic_drift_eigenfrequencies():
     # coupling 1.5 splits the modes into frequencies 1 (common) and 2 (relative)
-    p = ProbeParams.from_coupling(1.0, 1.5)
+    p = ProbeParams(omega=1.0, coupling=1.5)
     eigs = np.linalg.eigvals(build_entangler_system(p).drift)
     assert np.max(np.abs(eigs.real)) < 1e-12
     assert sorted(np.round(eigs.imag, 9)) == [-2.0, -1.0, 1.0, 2.0]
@@ -66,14 +66,13 @@ def hamiltonian_defect(system):
 
 
 def test_hamiltonian_defects():
-    p = ProbeParams.from_coupling(1.0, 1.5, delta=100.0)
+    p = ProbeParams(omega=1.0, coupling=1.5, delta=100.0)
     assert hamiltonian_defect(build_entangler_system(p)) < 1e-12
     # the kept-cavity and readout generators are asymmetric by design:
     # the feed rate is half the push-back rate
     full_defect = hamiltonian_defect(build_entangler_system(p, adiabatic=False))
-    assert full_defect == pytest.approx(math.sqrt(2.0) * p.g_opt * p.beta_abs)
-    m = MeterParams(kappa=1.3, tau_scaled=1.0)
-    assert hamiltonian_defect(build_measurement_system(m)) == pytest.approx(1.3)
+    assert full_defect == pytest.approx(math.sqrt(2.0) * math.sqrt(p.coupling * p.delta) / 2.0)
+    assert hamiltonian_defect(build_measurement_system(1.3)) == pytest.approx(1.3)
 
 
 def test_full_model_requires_detuning():
@@ -124,7 +123,7 @@ def test_measurement_moments_match_closed_forms():
     kappa, tau, ratio, n_th = 1.0, PI / 2, 2.0, 20.0
     phi = phi_opt(tau)
     m = MeterParams(kappa=kappa, tau_scaled=tau, phi=phi)
-    system = build_measurement_system(m)
+    system = build_measurement_system(kappa)
     c0 = direct_sum(rotate(entangled_covariance(ratio, n_th), phi), vacuum(2))
     mean, cov = integrate_moments(system, None, c0, 1.0, tau, step=1e-4)
     w = np.zeros(8)
@@ -324,7 +323,8 @@ def test_oracle_matches_closed_forms_everywhere(ratio, n_th, kappa, tau):
     phi = phi_opt(tau)
     m = MeterParams(kappa=kappa, tau_scaled=tau, phi=phi)
     c0 = direct_sum(rotate(entangled_covariance(ratio, n_th), phi), vacuum(2))
-    mean, cov = integrate_moments(build_measurement_system(m), None, c0, 1.0, tau, 2.0 * PI / 1e4)
+    readout = build_measurement_system(kappa)
+    mean, cov = integrate_moments(readout, None, c0, 1.0, tau, 2.0 * PI / 1e4)
     w = np.zeros(8)
     w[5] = w[7] = 1.0
     assert w @ mean == pytest.approx(signal_coeff(m), rel=1e-8)
