@@ -357,7 +357,7 @@ def _write_gnuplot(path: str, csv_path: str, spec: SweepSpec) -> None:
         "set ylabel 'f_min'",
         "set logscale y",
     ]
-    if spec.log_spaced:
+    if spec.axis == "kappa":
         lines.append("set logscale x")
     data = "'" + csv_path.replace("'", "''") + "'"
     plots = [

@@ -204,8 +204,6 @@ class EntanglementReport:
     product test is strictly more demanding at n_th > 0.
     """
 
-    ratio: float
-    n_th: float
     relative_q_variance: float
     total_p_variance: float
     variance_product: float
@@ -226,8 +224,6 @@ def is_entangled(ratio: float, n_th: float) -> EntanglementReport:
     product = rel_q * tot_p
     margin = ratio**2 - heat
     return EntanglementReport(
-        ratio=ratio,
-        n_th=n_th,
         relative_q_variance=rel_q,
         total_p_variance=tot_p,
         variance_product=product,

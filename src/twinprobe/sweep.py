@@ -47,17 +47,16 @@ class SweepSpec:
     """One-axis sweep of the minimum detectable force.
 
     ``axis`` selects which of ``tau_scaled``/``kappa`` runs over the
-    grid; the other is held at the value given here.  Each grid point is
-    evaluated for every squeeze ratio in ``ratios`` and, when
-    ``include_sql`` is set, for the ratio-1 zero-temperature reference
-    at phi = 0.
+    grid (linear in tau_scaled, logarithmic in kappa); the other is held
+    at the value given here.  Each grid point is evaluated for every
+    squeeze ratio in ``ratios`` and, when ``include_sql`` is set, for the
+    ratio-1 zero-temperature reference at phi = 0.
     """
 
     axis: str = "tau_scaled"
     lo: float = 0.05
     hi: float = 2.0 * math.pi
     points: int = 512
-    log_spaced: bool = False
     kappa: float = 1.0
     tau_scaled: float = math.pi / 2.0
     n_th: float = 20.0
@@ -89,12 +88,11 @@ def fig1_spec(**overrides) -> SweepSpec:
 
 def fig2_spec(**overrides) -> SweepSpec:
     """Coupling sweep: f_min vs kappa on a log grid at fixed duration."""
-    base = SweepSpec(axis="kappa", lo=0.05, hi=5.0, log_spaced=True)
-    return replace(base, **overrides)
+    return replace(SweepSpec(axis="kappa", lo=0.05, hi=5.0), **overrides)
 
 
 def axis_values(spec: SweepSpec) -> np.ndarray:
-    if spec.log_spaced:
+    if spec.axis == "kappa":
         return np.geomspace(spec.lo, spec.hi, spec.points)
     return np.linspace(spec.lo, spec.hi, spec.points)
 

@@ -12,28 +12,23 @@ import time
 
 import numpy as np
 
-from twinprobe import (
-    MeterParams,
+from twinprobe.dynamics import (
     ProbeParams,
-    build_measurement_system,
-    direct_sum,
     entangled_covariance,
-    f_min,
-    fig1_spec,
-    fig2_spec,
-    fmin_curve,
-    full_model_deviation,
-    integrate_moments,
     is_entangled,
-    noise,
-    optimal_kappa,
-    phi_opt,
     relative_mode_frequency,
     thermal_covariance,
     transfer_matrix,
-    vacuum,
+)
+from twinprobe.gaussian import direct_sum, vacuum
+from twinprobe.metrology import MeterParams, f_min, noise, phi_opt
+from twinprobe.oracle import (
+    build_measurement_system,
+    full_model_deviation,
+    integrate_moments,
     verify_closed_forms,
 )
+from twinprobe.sweep import fig1_spec, fig2_spec, fmin_curve, optimal_kappa
 
 PI = math.pi
 

@@ -122,6 +122,32 @@ def test_entangle_full_model_large_detuning(launch_cli):
     assert float(line.split("=")[1].split("(")[0]) < 1e-6
 
 
+@pytest.mark.parametrize(
+    "args, deviation",
+    [
+        # a step longer than the run, and one coarser than the default
+        (("--step", "10"), "7.306e-04"),
+        (("--step", "0.005"), "7.306e-04"),
+        # the default step is 2.5% off here, and h/2 still 0.2%
+        (("--n-th", "0", "--delta", "1e7"), "1.200e-07"),
+        # a --step past RK4's stability edge, where a single run diverges
+        (("--n-th", "0", "--delta", "1e7", "--step", "0.1"), "1.200e-07"),
+    ],
+)
+def test_entangle_full_model_step_guard(launch_cli, args, deviation):
+    proc = launch_cli("entangle", "--r", "2", "--full-model", *args)
+    assert proc.returncode == 0, proc.stderr
+    assert f"full-model deviation    = {deviation} (relative" in proc.stdout
+
+
+def test_entangle_full_model_guard_beyond_max_steps(launch_cli):
+    # 1e-12 needs fewer than MAX_STEPS steps over pi/4, half of it more
+    proc = launch_cli("entangle", "--r", "2", "--full-model", "--step", "1e-12")
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("domain error: full-model step guard did not settle")
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("step", ["1e-320", "nan"])
 def test_entangle_full_model_rejects_bad_step(launch_cli, step):
     proc = launch_cli("entangle", "--r", "2", "--full-model", f"--step={step}")

@@ -1,4 +1,4 @@
-"""Which modules each entry point loads, and the package's lazy exports.
+"""Which modules each entry point loads, and where each public name lives.
 
 These tests check module footprints, not timings.
 """
@@ -15,21 +15,8 @@ import twinprobe
 
 SRC = str(Path(twinprobe.__file__).resolve().parent.parent)
 
-# the package's public names
-PUBLIC_NAMES = {
-    "CovarianceMatrix", "DecoherenceBudget", "EntanglementReport", "EntanglerOutput",
-    "IntegrationDivergedError", "KappaOptimum", "LinearSystem", "MeterParams",
-    "ProbeParams", "SIGNAL_CONSISTENT", "SIGNAL_PRINTED", "SweepSpec",
-    "UndetectableForceError", "UnstableRegimeError", "ValidationReport",
-    "VerificationReport", "VerifyGrid", "build_entangler_system",
-    "build_measurement_system", "decoherence_budget", "direct_sum",
-    "entangled_covariance", "f_min", "fig1_spec", "fig2_spec", "fmin_curve",
-    "full_model_deviation", "integrate_moments", "is_entangled",
-    "noise", "occupation_from_temperature", "optimal_kappa", "phi_opt", "prepare",
-    "relative_mode_frequency", "rotate", "signal_coeff", "sql",
-    "thermal_covariance", "transfer_matrix", "vacuum", "validate", "verify_closed_forms",
-    "__version__",
-}
+# the layers whose ``__all__`` the bench tracer wraps, one home per public name
+LAYERS = ("gaussian", "dynamics", "metrology", "oracle", "sweep", "cli")
 
 _REPORT_MODULES = """
 import contextlib, io, json, sys
@@ -100,24 +87,22 @@ def test_oracle_commands_load_the_oracle(tmp_path, argv):
 
 
 def test_bare_import_loads_no_numpy(tmp_path):
-    out = _python("import sys, twinprobe; print('numpy' in sys.modules)", cwd=tmp_path)
-    assert out.strip() == "False"
+    out = _python(
+        "import sys, twinprobe; "
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('twinprobe.')))",
+        cwd=tmp_path,
+    )
+    assert out.strip() == "[]"
 
 
-def test_exports_resolve_to_their_home_modules():
-    assert set(twinprobe.__all__) == PUBLIC_NAMES
-    for name in twinprobe.__all__:
-        if name == "__version__":
-            continue
-        module = importlib.import_module(f"twinprobe.{twinprobe._HOME[name]}")
-        assert getattr(twinprobe, name) is getattr(module, name), name
-        assert name in module.__all__, name
+@pytest.mark.parametrize("layer", LAYERS)
+def test_all_names_exist_in_their_home_module(layer):
+    module = importlib.import_module(f"twinprobe.{layer}")
+    for name in module.__all__:
+        assert hasattr(module, name), name
 
 
-def test_star_import_and_unknown_names():
-    namespace = {}
-    exec("from twinprobe import *", namespace)
-    assert set(namespace) - {"__builtins__"} == PUBLIC_NAMES
+def test_submodules_and_unknown_names():
     from twinprobe import cli, oracle
 
     assert twinprobe.cli is cli and twinprobe.oracle is oracle

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import symplectic_form
+from twinprobe import oracle
 from twinprobe.dynamics import (
     ProbeParams,
     entangled_covariance,
@@ -23,6 +24,7 @@ from twinprobe.oracle import (
     VerifyGrid,
     build_entangler_system,
     build_measurement_system,
+    full_model_deviation,
     integrate_moments,
     propagator,
     verify_closed_forms,
@@ -136,6 +138,23 @@ def test_integration_divergence_detected():
     runaway = LinearSystem(5.0 * np.eye(2), np.zeros(2), label="runaway")
     with pytest.raises(IntegrationDivergedError):
         integrate_moments(runaway, np.ones(2), vacuum(1), 0.0, 200.0, step=0.01)
+
+
+def test_full_model_guard_halves_past_a_diverged_step(monkeypatch):
+    p = ProbeParams.from_squeeze_ratio(1.0, 2.0, delta=100.0, n_th=20.0)
+    settled, _ = full_model_deviation(p)
+    real, steps = oracle.integrate_moments, []
+
+    def diverge_at_first_step(system, mean0, cov0, force, t_final, step):
+        steps.append(step)
+        if len(steps) == 1:
+            raise IntegrationDivergedError("diverged")
+        return real(system, mean0, cov0, force, t_final, step)
+
+    monkeypatch.setattr(oracle, "integrate_moments", diverge_at_first_step)
+    deviation, _ = full_model_deviation(p)
+    assert steps == [steps[0] / 2**k for k in range(3)]
+    assert deviation == pytest.approx(settled, rel=1e-3)
 
 
 def test_integrate_moments_argument_checks():

@@ -43,12 +43,14 @@ def test_fig_spec_defaults():
     f1 = fig1_spec()
     assert f1.axis == "tau_scaled"
     assert (f1.lo, f1.hi, f1.points) == (0.05, 2 * PI, 512)
-    assert not f1.log_spaced
+    steps = np.diff(axis_values(f1))
+    assert np.allclose(steps, steps[0])  # the duration axis is linear
     assert f1.kappa == 1.0 and f1.n_th == 20.0
     f2 = fig2_spec()
     assert f2.axis == "kappa"
     assert (f2.lo, f2.hi, f2.points) == (0.05, 5.0, 512)
-    assert f2.log_spaced
+    factors = np.diff(np.log(axis_values(f2)))
+    assert np.allclose(factors, factors[0])  # the coupling axis is logarithmic
     assert f2.tau_scaled == pytest.approx(PI / 2)
     assert fig1_spec(points=64).points == 64
 
@@ -56,7 +58,7 @@ def test_fig_spec_defaults():
 def test_axis_values_spacing():
     lin = axis_values(SweepSpec(lo=1.0, hi=2.0, points=5))
     assert np.allclose(lin, [1.0, 1.25, 1.5, 1.75, 2.0])
-    log = axis_values(SweepSpec(axis="kappa", lo=0.1, hi=10.0, points=3, log_spaced=True))
+    log = axis_values(SweepSpec(axis="kappa", lo=0.1, hi=10.0, points=3))
     assert np.allclose(log, [0.1, 1.0, 10.0])
 
 
