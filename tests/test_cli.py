@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from twinprobe import cli
+from twinprobe import cli, dynamics
 from twinprobe.cli import RunConfig
 from twinprobe.metrology import phi_opt
 from twinprobe.sweep import fig1_spec, fmin_curve, fmin_points
@@ -52,6 +52,21 @@ def entangle_numbers(proc):
     return [float(word) for line in lines for word in line.split("=")[-1].split()], verdict
 
 
+def state_numbers(out):
+    """The numbers ``entangle`` prints for a prepared state, unrounded, in order."""
+    rep = out.report
+    return [
+        out.mode_frequency,
+        out.ratio,
+        out.switch_off_time,
+        *out.covariance.matrix.ravel(),
+        rep.relative_q_variance,
+        rep.total_p_variance,
+        rep.variance_product,
+        rep.squeeze_margin,
+    ]
+
+
 @settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
@@ -60,7 +75,7 @@ def entangle_numbers(proc):
     delta=st.floats(1.0, 1e4),
     n_th=st.floats(0.0, 1e3),
 )
-def test_entangle_routes_agree(launch_cli, ratio, delta, n_th):
+def test_entangle_routes_agree(launch_cli, monkeypatch, ratio, delta, n_th):
     # the same pair given by its squeeze ratio, its composite coupling and
     # its raw cavity parameters (2 g |beta|)^2 / delta = chi
     chi = (ratio**2 - 1.0) / 2.0
@@ -69,13 +84,26 @@ def test_entangle_routes_agree(launch_cli, ratio, delta, n_th):
         ("--coupling-chi", repr(chi)),
         ("--g-opt", repr(math.sqrt(chi * delta) / 2.0), "--beta-abs", "1", "--delta", repr(delta)),
     ]
-    (want, verdict), *others = (
+    # The routes reach the same state up to a few ulps (sqrt, square and
+    # divide on the way), so a printed digit at a rounding tie, such as
+    # 1.0034750375e8 at ratio 998 and n_th 201, may go either way: the
+    # numbers are compared as prepare returned them, before printing.
+    prepared = []
+
+    def spy(p, prepare=dynamics.prepare):
+        prepared.append(prepare(p))
+        return prepared[-1]
+
+    monkeypatch.setattr(dynamics, "prepare", spy)
+    printed = [
         entangle_numbers(launch_cli("entangle", *route, "--n-th", repr(n_th))) for route in routes
-    )
-    assert len(want) == 23
-    for got, got_verdict in others:
+    ]
+    assert [len(numbers) for numbers, _ in printed] == [23] * len(routes)
+    assert len({verdict for _, verdict in printed}) == 1
+    want, *others = [state_numbers(out) for out in prepared]
+    assert len(others) == len(routes) - 1
+    for got in others:
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-        assert got_verdict == verdict
 
 
 def test_entangle_stable_pair_does_not_underflow(launch_cli):
