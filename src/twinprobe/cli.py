@@ -382,18 +382,17 @@ def cmd_entangle(cfg: RunConfig) -> int:
         from .oracle import full_model_deviation
 
         dev, delta = full_model_deviation(p, cfg.step)
-    rep = out.report
     print(f"relative mode frequency = {_g(out.mode_frequency)}")
     print(f"squeeze ratio           = {_g(out.ratio)}")
     print(f"switch-off time         = {_g(out.switch_off_time)}")
     print("covariance (q1, p1, q2, p2):")
     for row in out.covariance.matrix:
         print("  " + "  ".join(f"{v: .9e}" for v in row))
-    print(f"relative q variance     = {_g(rep.relative_q_variance)}")
-    print(f"total p variance        = {_g(rep.total_p_variance)}")
-    print(f"EPR variance product    = {_g(rep.variance_product)}")
-    print(f"squeeze margin          = {_g(rep.squeeze_margin)}")
-    print(f"entangled               = {'yes' if rep.entangled else 'no'}")
+    print(f"relative q variance     = {_g(out.relative_q_variance)}")
+    print(f"total p variance        = {_g(out.total_p_variance)}")
+    print(f"EPR variance product    = {_g(out.variance_product)}")
+    print(f"squeeze margin          = {_g(out.squeeze_margin)}")
+    print(f"entangled               = {'yes' if out.entangled else 'no'}")
     if cfg.full_model:
         print(
             f"full-model deviation    = {dev:.3e} "

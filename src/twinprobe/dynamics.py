@@ -22,7 +22,6 @@ __all__ = [
     "UnstableRegimeError",
     "ProbeParams",
     "EntanglerOutput",
-    "EntanglementReport",
     "relative_mode_frequency",
     "transfer_matrix",
     "thermal_covariance",
@@ -30,7 +29,6 @@ __all__ = [
     "entangled_covariance",
     "mode_rotation",
     "rotate",
-    "is_entangled",
     "prepare",
 ]
 
@@ -193,55 +191,32 @@ def rotate(c: CovarianceMatrix, phi: float) -> CovarianceMatrix:
 
 
 @dataclass(frozen=True)
-class EntanglementReport:
-    """Two separability diagnostics of the switch-off state.
-
-    ``squeeze_margin`` is ratio**2 - (1 + 2 n_th); the state is reported
-    entangled when it is positive, i.e. when the squeezed collective
-    variance drops below the collective vacuum level.  The EPR variance
-    product Var(q1-q2) * Var(p1+p2) and its strict criterion (< 1) are
-    reported alongside; the two tests coincide at n_th = 0 but the
-    product test is strictly more demanding at n_th > 0.
-    """
-
-    relative_q_variance: float
-    total_p_variance: float
-    variance_product: float
-    squeeze_margin: float
-    product_criterion: bool
-    entangled: bool
-
-
-def is_entangled(ratio: float, n_th: float) -> EntanglementReport:
-    """Entanglement verdict and margins for the switch-off state."""
-    if ratio < 1.0:
-        raise ValueError(f"squeeze ratio must be >= 1, got {ratio}")
-    if n_th < 0:
-        raise ValueError(f"n_th must be nonnegative, got {n_th}")
-    heat = 1.0 + 2.0 * n_th
-    rel_q = heat / ratio**2
-    tot_p = heat
-    product = rel_q * tot_p
-    margin = ratio**2 - heat
-    return EntanglementReport(
-        relative_q_variance=rel_q,
-        total_p_variance=tot_p,
-        variance_product=product,
-        squeeze_margin=margin,
-        product_criterion=product < 1.0,
-        entangled=margin > 0.0,
-    )
-
-
-@dataclass(frozen=True)
 class EntanglerOutput:
-    """State and bookkeeping of the entangling stage at switch-off."""
+    """State of the entangling stage at switch-off, with two separability diagnostics.
+
+    In units where the collective vacuum variance is 1, the squeezed
+    relative variance Var(q1 - q2) is (1 + 2 n_th) / ratio**2 and the
+    total variance Var(p1 + p2) stays thermal, 1 + 2 n_th.
+    ``squeeze_margin`` is ratio**2 - (1 + 2 n_th); the state is entangled
+    when it is positive, i.e. when the squeezed collective variance drops
+    below the collective vacuum level.  The EPR variance product
+    Var(q1-q2) * Var(p1+p2) is reported alongside, for its strict
+    criterion (< 1): the two tests coincide at n_th = 0, but the product
+    test is strictly more demanding at n_th > 0.
+    """
 
     mode_frequency: float
     ratio: float
     switch_off_time: float
     covariance: CovarianceMatrix
-    report: EntanglementReport
+    relative_q_variance: float
+    total_p_variance: float
+    variance_product: float
+    squeeze_margin: float
+
+    @property
+    def entangled(self) -> bool:
+        return self.squeeze_margin > 0.0
 
 
 def prepare(p: ProbeParams) -> EntanglerOutput:
@@ -257,13 +232,18 @@ def prepare(p: ProbeParams) -> EntanglerOutput:
         )
     # squared below, where a float power would raise OverflowError instead
     finite("squeeze ratio squared", ratio * ratio)
-    report = is_entangled(ratio, p.n_th)
-    for name in ("relative_q_variance", "total_p_variance", "variance_product", "squeeze_margin"):
-        finite(name.replace("_", " "), getattr(report, name))
+    heat = 1.0 + 2.0 * p.n_th
+    rel_q = finite("relative q variance", heat / ratio**2)
+    tot_p = finite("total p variance", heat)
+    product = finite("variance product", rel_q * tot_p)
+    margin = finite("squeeze margin", ratio**2 - heat)
     return EntanglerOutput(
         mode_frequency=theta,
         ratio=ratio,
         switch_off_time=finite("switch-off time", math.pi / (2.0 * theta)),
         covariance=entangled_covariance(ratio, p.n_th),
-        report=report,
+        relative_q_variance=rel_q,
+        total_p_variance=tot_p,
+        variance_product=product,
+        squeeze_margin=margin,
     )

@@ -22,9 +22,6 @@ import numpy as np
 from ._common import SIGNAL_CONSISTENT, SIGNAL_PRINTED, SIGNAL_VARIANTS, DomainError, finite
 
 __all__ = [
-    "SIGNAL_CONSISTENT",
-    "SIGNAL_PRINTED",
-    "SIGNAL_VARIANTS",
     "UndetectableForceError",
     "MeterParams",
     "DecoherenceBudget",

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._common import DomainError
+from ._common import SIGNAL_PRINTED, DomainError
 from .dynamics import (
     ProbeParams,
     entangled_covariance,
@@ -37,7 +37,7 @@ from .dynamics import (
     transfer_matrix,
 )
 from .gaussian import VACUUM_VARIANCE, CovarianceMatrix, direct_sum, vacuum
-from .metrology import SIGNAL_PRINTED, MeterParams, noise, phi_opt, signal_coeff
+from .metrology import MeterParams, noise, phi_opt, signal_coeff
 
 __all__ = [
     "MAX_STEPS",
@@ -162,6 +162,11 @@ def _check_step(step: float) -> None:
         raise ValueError(f"step must be finite and positive, got {step!r}")
 
 
+def _capped_step(step: float, intervals) -> float:
+    """``step``, or 1/8 of the shortest positive interval if that is finer."""
+    return min([step, *(dt / 8.0 for dt in intervals if dt > 0)])
+
+
 def _rk4_power(z: np.ndarray, n: int) -> np.ndarray:
     """P(z)^n in O(log n) products; P(hA) = 1 + hA + ... + (hA)^4/24 is one RK4 step.
 
@@ -275,7 +280,7 @@ def full_model_deviation(p: ProbeParams, step: float | None = None) -> tuple[flo
 
     # A coarser start gains nothing: near RK4's stability edge the cavity
     # is damped away at h and h/2 alike, and the two agree on a wrong value.
-    h = min((2.0 * math.pi / abs(p.delta)) / 300.0, t_off / 8.0)
+    h = _capped_step((2.0 * math.pi / abs(p.delta)) / 300.0, (t_off,))
     if step is not None:
         _check_step(step)
         h = min(h, step)
@@ -404,8 +409,9 @@ def _check_entangler(grid: VerifyGrid) -> list[CheckResult]:
         p = ProbeParams.from_squeeze_ratio(1.0, ratio)
         drift = build_entangler_system(p).drift
         theta = relative_mode_frequency(p)
-        step, t_switch = (2.0 * math.pi / theta) / 2048.0, math.pi / (2.0 * theta)
+        t_switch = math.pi / (2.0 * theta)
         times = grid.transfer_times + ((t_switch,) if grid.n_ths else ())
+        step = _capped_step((2.0 * math.pi / theta) / 2048.0, times)
         pairs = {
             t: [propagator(drift, (t,), h)[0] for h in (step, step / 2.0)] for t in set(times)
         }
@@ -437,18 +443,17 @@ def _check_readout(
         for n in grid.n_ths
         for mode in grid.phi_modes
     )
-    # (kappa, tau, 9, 9) propagators of the readout with a unit force column
-    step = math.pi / 2048.0
+    # (h or h/2, kappa, tau, 9, 9) propagators of the readout with a unit force column
+    step = _capped_step(math.pi / 2048.0, [b - a for a, b in zip((0.0,) + taus, taus)])
     drifts = [build_measurement_system(k).augmented(1.0) for k in grid.kappas]
-    shape = (len(drifts), len(taus), 9, 9)
-    x_h, x_fine = (
-        np.reshape([propagator(a, taus, h) for a in drifts], shape) for h in (step, step / 2.0)
+    x = np.reshape(
+        [[propagator(a, taus, h) for a in drifts] for h in (step, step / 2.0)],
+        (2, len(drifts), len(taus), 9, 9),
     )
-    diffs = _rel(x_h, x_fine).ravel()
     # Y1 + Y2 at tau as a row over the initial (q1, p1, q2, p2, X1, Y1, X2, Y2, f)
-    v = x_fine[..., 5, :] + x_fine[..., 7, :]
+    v = x[..., 5, :] + x[..., 7, :]
     signal = v[..., 8]
-    # axes (kappa, tau, ratio, n_th, phi mode); the probes start in the
+    # axes (h or h/2, kappa, tau, ratio, n_th, phi mode); the probes start in the
     # rotated entangled state and the meters in vacuum
     tau = np.array(taus)
     phi = np.where([mode == "opt" for mode in grid.phi_modes], phi_opt(tau)[:, None], 0.0)
@@ -459,9 +464,22 @@ def _check_readout(
     )
     probe = v[..., :4]
     noise_oracle = np.einsum(
-        "kta,tmab,rnbc,tmdc,ktd->ktrnm", probe, rotations, states, rotations, probe,
+        "hkta,tmab,rnbc,tmdc,hktd->hktrnm", probe, rotations, states, rotations, probe,
         optimize=True,
     ) + VACUUM_VARIANCE * np.sum(v[..., 4:8] ** 2, axis=-1)[..., None, None, None]
+
+    def rel_rows(got, want):
+        """|got - want| / |want| per case: the signal, then each noise."""
+        return np.column_stack(
+            [
+                (np.abs(g - w) / np.abs(w)).reshape(len(cases), width)
+                for g, w, width in zip(got, want, (1, len(labels) - 1))
+            ]
+        )
+
+    # each case's h vs h/2 difference, relative to each quantity it compares
+    (signal_h, signal), (noise_h, noise_oracle) = signal, noise_oracle
+    diffs = np.max(rel_rows((signal_h, noise_h), (signal, noise_oracle)), axis=1, initial=0.0)
 
     kappa = np.array(grid.kappas)[:, None]
     closed_signal = signal_coeff(MeterParams(kappa, tau))
@@ -470,13 +488,7 @@ def _check_readout(
         np.array(grid.ratios)[:, None, None],
         np.array(grid.n_ths)[:, None],
     )
-    noise_err = np.abs(noise_oracle - closed_noise) / np.abs(closed_noise)
-    errors = np.column_stack(
-        [
-            (np.abs(signal - closed_signal) / np.abs(closed_signal)).ravel(),
-            noise_err.reshape(len(cases), len(labels) - 1),
-        ]
-    )
+    errors = rel_rows((signal, noise_oracle), (closed_signal, closed_noise))
     results = [_result("readout-moments", tolerance, cases, diffs, errors, labels)]
     if include_printed_signal:
         printed = signal_coeff(MeterParams(kappa, tau, signal_variant=SIGNAL_PRINTED))

@@ -14,10 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._common import DomainError
+from ._common import SIGNAL_CONSISTENT, SIGNAL_VARIANTS, DomainError
 from .metrology import (
-    SIGNAL_CONSISTENT,
-    SIGNAL_VARIANTS,
     MeterParams,
     UndetectableForceError,
     f_min_from,

@@ -15,7 +15,7 @@ import numpy as np
 from twinprobe.dynamics import (
     ProbeParams,
     entangled_covariance,
-    is_entangled,
+    prepare,
     relative_mode_frequency,
     thermal_covariance,
     transfer_matrix,
@@ -71,14 +71,17 @@ def test_switch_off_covariance_entrywise():
 
 
 def test_entanglement_threshold():
-    ok = is_entangled(50.0, 1000.0).entangled
+    def entangled(ratio, n_th):
+        return prepare(ProbeParams.from_squeeze_ratio(1.0, ratio, n_th=n_th)).entangled
+
+    ok = entangled(50.0, 1000.0)
     detail = "r=50 n_th=1000 entangled + 100 random points"
     rng = np.random.default_rng(20260817)
     for _ in range(100):
         ratio = float(rng.uniform(1.0, 60.0))
         n_th = float(rng.uniform(0.0, 1200.0))
         expect = ratio * ratio > 1.0 + 2.0 * n_th
-        if is_entangled(ratio, n_th).entangled != expect:
+        if entangled(ratio, n_th) != expect:
             ok = False
             detail = f"verdict flipped at r={ratio:.4f} n_th={n_th:.2f}"
     check("entanglement-threshold", ok, detail)

@@ -54,16 +54,15 @@ def entangle_numbers(proc):
 
 def state_numbers(out):
     """The numbers ``entangle`` prints for a prepared state, unrounded, in order."""
-    rep = out.report
     return [
         out.mode_frequency,
         out.ratio,
         out.switch_off_time,
         *out.covariance.matrix.ravel(),
-        rep.relative_q_variance,
-        rep.total_p_variance,
-        rep.variance_product,
-        rep.squeeze_margin,
+        out.relative_q_variance,
+        out.total_p_variance,
+        out.variance_product,
+        out.squeeze_margin,
     ]
 
 

@@ -10,7 +10,6 @@ from twinprobe.dynamics import (
     ProbeParams,
     UnstableRegimeError,
     entangled_covariance,
-    is_entangled,
     mode_rotation,
     occupation_from_temperature,
     prepare,
@@ -212,26 +211,30 @@ def test_rotation_properties():
     assert validate(rotate(c, 0.7)).passed
 
 
+def prepared(ratio, n_th):
+    return prepare(ProbeParams.from_squeeze_ratio(1.0, ratio, n_th=n_th))
+
+
 def test_entanglement_verdicts():
-    assert is_entangled(2.0, 0.0).entangled
-    assert not is_entangled(2.0, 20.0).entangled
-    assert is_entangled(50.0, 1000.0).entangled
-    assert not is_entangled(1.0, 0.0).entangled  # margin exactly zero
+    assert prepared(2.0, 0.0).entangled
+    assert not prepared(2.0, 20.0).entangled
+    assert prepared(50.0, 1000.0).entangled
+    assert not prepared(1.0, 0.0).entangled  # margin exactly zero
 
 
 def test_entanglement_margins_and_product():
-    rep = is_entangled(2.0, 0.0)
+    rep = prepared(2.0, 0.0)
     assert rep.relative_q_variance == pytest.approx(0.25)
     assert rep.total_p_variance == pytest.approx(1.0)
     assert rep.variance_product == pytest.approx(0.25)
-    assert rep.product_criterion
+    assert rep.variance_product < 1.0
     # at n_th > 0 the two diagnostics genuinely part ways: the squeeze
     # margin can be positive while the EPR product is still above 1
-    rep = is_entangled(2.0, 1.0)
+    rep = prepared(2.0, 1.0)
     assert rep.squeeze_margin == pytest.approx(1.0)
     assert rep.entangled
     assert rep.variance_product == pytest.approx(2.25)
-    assert not rep.product_criterion
+    assert not rep.variance_product < 1.0
 
 
 def test_prepare_pipeline():
@@ -240,5 +243,5 @@ def test_prepare_pipeline():
     assert out.mode_frequency == pytest.approx(2.0)
     assert out.ratio == pytest.approx(2.0)
     assert out.switch_off_time == pytest.approx(math.pi / 4.0)
-    assert out.report.entangled
+    assert out.entangled
     assert validate(out.covariance).passed

@@ -102,6 +102,14 @@ def test_all_names_exist_in_their_home_module(layer):
         assert hasattr(module, name), name
 
 
+def test_each_public_name_has_one_home():
+    homes = {}
+    for layer in ("_common", *LAYERS):
+        for name in importlib.import_module(f"twinprobe.{layer}").__all__:
+            homes.setdefault(name, []).append(layer)
+    assert {name: where for name, where in homes.items() if len(where) > 1} == {}
+
+
 def test_submodules_and_unknown_names():
     from twinprobe import cli, oracle
 

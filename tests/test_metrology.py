@@ -7,10 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twinprobe._common import SIGNAL_CONSISTENT, SIGNAL_PRINTED, SIGNAL_VARIANTS
 from twinprobe.metrology import (
-    SIGNAL_CONSISTENT,
-    SIGNAL_PRINTED,
-    SIGNAL_VARIANTS,
     MeterParams,
     UndetectableForceError,
     decoherence_budget,

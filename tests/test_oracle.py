@@ -316,6 +316,28 @@ def test_guard_margin_recorded_per_check():
         assert "guard" not in check.summary()
 
 
+@pytest.mark.parametrize("taus", [oracle._TAU_GRID + (1e-3,), (1e-6,)])
+def test_readout_guard_sees_the_signal_step_error(taus):
+    # The signal starts as kappa*tau^3/6, far below 1, and 1e-6 is shorter
+    # than the default step: the step is capped at 1/8 of the shortest
+    # interval, and the guard is relative to each quantity it compares.
+    grid = VerifyGrid(taus=taus)
+    readout = verify_closed_forms(grid).checks[2]
+    ordered = sorted(taus)
+    step = min(PI / 2048.0, min(b - a for a, b in zip((0.0, *ordered), ordered)) / 8.0)
+    worst = 0.0
+    for kappa in grid.kappas:
+        a = build_measurement_system(kappa).augmented(1.0)
+        s_h, s_fine = (
+            np.array([x[5, 8] + x[7, 8] for x in propagator(a, ordered, h)])
+            for h in (step, step / 2.0)
+        )
+        worst = max(worst, float(np.max(np.abs(s_h - s_fine) / np.abs(s_fine))))
+    assert readout.name == "readout-moments"
+    assert 0.0 < readout.guard_margin and worst <= readout.guard_margin
+    assert readout.max_rel_error < 1e-10
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     ratio=st.floats(1.0, 10.0),
