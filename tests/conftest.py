@@ -17,6 +17,20 @@ def symplectic_form(n_modes):
     return j
 
 
+def mp_expm(a, t, cov=None):
+    """expm(a t), or expm(a t) cov expm(a t)^T, computed at 40 digits and rounded to floats.
+
+    The arbitrary-precision reference for the closed forms and the RK4
+    oracle; the test calling it is skipped when mpmath is missing.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        x = mpmath.expm(mpmath.matrix(np.asarray(a, dtype=float).tolist()) * t)
+        if cov is not None:
+            x = x * mpmath.matrix(np.asarray(cov, dtype=float).tolist()) * x.T
+        return np.array(x.tolist(), dtype=float)
+
+
 class CliResult(NamedTuple):
     """What a run of the command line left: the fields of a finished process."""
 

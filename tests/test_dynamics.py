@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import symplectic_form
+from conftest import mp_expm, symplectic_form
 from twinprobe.dynamics import (
     ProbeParams,
     UnstableRegimeError,
@@ -131,25 +131,21 @@ def test_transfer_at_switchoff_reproduces_entangled_covariance():
 def test_closed_forms_match_arbitrary_precision_expm(ratio):
     # expm of the adiabatic drift at 40 digits, independent of the RK4 oracle;
     # the closed forms may differ by the rounding of the phase theta*t
-    mpmath = pytest.importorskip("mpmath")
     p = ProbeParams.from_squeeze_ratio(1.0, ratio)
     theta = relative_mode_frequency(p)
     t_switch = prepare(p).switch_off_time
+    drift = build_entangler_system(p).drift
 
     def rel(got, want):
-        want = np.array(want.tolist(), dtype=float)
         return np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
 
-    with mpmath.workdps(40):
-        drift = mpmath.matrix(build_entangler_system(p).drift.tolist())
-        for t in (1e-6, 0.35, math.pi / 2.0, 2.8, 2.0 * math.pi, t_switch):
-            x = mpmath.expm(drift * t)
-            bound = 4.0 * np.finfo(float).eps * ratio * max(1.0, theta * t)
-            assert rel(transfer_matrix(p, t), x) <= bound, t
-        # x and bound now belong to the switch-off time, the last t above
-        for n_th in (0.0, 20.0, 1e3):
-            c = x * mpmath.matrix(thermal_covariance(n_th).matrix.tolist()) * x.T
-            assert rel(entangled_covariance(ratio, n_th).matrix, c) <= bound, n_th
+    for t in (1e-6, 0.35, math.pi / 2.0, 2.8, 2.0 * math.pi, t_switch):
+        bound = 4.0 * np.finfo(float).eps * ratio * max(1.0, theta * t)
+        assert rel(transfer_matrix(p, t), mp_expm(drift, t)) <= bound, t
+    # bound now belongs to the switch-off time, the last t above
+    for n_th in (0.0, 20.0, 1e3):
+        c = mp_expm(drift, t_switch, thermal_covariance(n_th).matrix)
+        assert rel(entangled_covariance(ratio, n_th).matrix, c) <= bound, n_th
 
 
 def test_thermal_covariance_values():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import symplectic_form
+from conftest import mp_expm, symplectic_form
 from twinprobe import oracle
 from twinprobe.dynamics import (
     ProbeParams,
@@ -203,7 +203,9 @@ def test_verify_printed_signal_is_informational():
 
 
 def test_verify_unattainable_tolerance_fails():
-    report = verify_closed_forms(SMALL_GRID, tolerance=1e-15)
+    # the guard refines the readout until it is within ~3e-16 of the closed
+    # forms here, so only a tolerance below double rounding is out of reach
+    report = verify_closed_forms(SMALL_GRID, tolerance=1e-17)
     assert not report.passed
     readout = report.checks[-1]
     assert readout.failures
@@ -228,6 +230,22 @@ def test_verify_grid_with_an_empty_family(grid, empty):
             assert (check.max_rel_error, check.worst_case, check.guard_margin) == (0.0, "", 0.0)
 
 
+@pytest.mark.parametrize(
+    "grid, unused",
+    [
+        (VerifyGrid(kappas=(), transfer_times=(), n_ths=()), ("propagator", "noise")),
+        (VerifyGrid(kappas=()), ("noise", "signal_coeff", "phi_opt", "mode_rotation")),
+    ],
+)
+def test_an_empty_family_builds_nothing(monkeypatch, grid, unused):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an empty family built an oracle or closed-form value")
+
+    for name in unused:
+        monkeypatch.setattr(oracle, name, refuse)
+    assert verify_closed_forms(grid, include_printed_signal=True).passed
+
+
 def test_verify_failure_lines_keep_grid_order():
     # a negative tolerance fails every guard and every comparison
     readout = verify_closed_forms(SMALL_GRID, tolerance=-1.0).checks[-1]
@@ -250,7 +268,7 @@ def test_verify_points_and_python_floats():
     k, t = len(grid.kappas), len(grid.taus)
     variants = len(grid.ratios) * len(grid.n_ths) * len(grid.phi_modes)
     points = {c.name: c.points for c in report.checks}
-    assert points["readout-moments"] == k * t * (1 + variants) == 312
+    assert points["readout-moments"] == k * t * (1 + variants) == 1250
     assert points["readout-signal-printed"] == k * t
     for check in report.checks:
         assert type(check.max_rel_error) is float, check.name
@@ -278,20 +296,40 @@ def test_propagator_matches_stepwise_rk4(n, drive):
     a = system.augmented(1.0) if drive else system.drift
     t = 1.3
     # a step a hair above t/n keeps ceil(t/step) at exactly n
-    x = propagator(a, (t,), (t / n) * (1.0 + 1e-12))[0]
+    x = propagator(a, t, (t / n) * (1.0 + 1e-12))
     want = rk4_steps(a, n, t / n)
     assert np.max(np.abs(x - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
-def test_propagator_snapshots_compose_intervals():
-    a = build_entangler_system(ProbeParams.from_squeeze_ratio(1.0, 2.0)).drift
-    xs = propagator(a, (0.0, 0.4, 0.4, 1.0), 0.01)
-    assert np.array_equal(xs[0], np.eye(4))
-    assert np.array_equal(xs[1], xs[2])
-    want = rk4_steps(a, 60, 0.01) @ rk4_steps(a, 40, 0.01)
-    assert np.max(np.abs(xs[3] - want)) < 1e-12
-    with pytest.raises(ValueError, match="nondecreasing"):
-        propagator(a, (1.0, 0.5), 0.01)
+RATIO_1E3 = ProbeParams.from_squeeze_ratio(1.0, 1e3)
+ENTANGLER_1E3 = (
+    build_entangler_system(RATIO_1E3).drift,
+    (2.0 * PI / relative_mode_frequency(RATIO_1E3)) / 2048.0,
+    oracle.ENTANGLER_TOLERANCE / 10.0,
+)
+READOUT_KAPPA_5 = (build_measurement_system(5.0).augmented(1.0), PI / 2048.0, 1e-7)
+
+
+# verify's corners, each with its check's starting step and guard: the
+# entangler at ratio 1e3, and the kappa=5 readout at the shortest and longest tau
+@pytest.mark.parametrize(
+    "t, case",
+    [
+        (PI / 2.0, ENTANGLER_1E3),
+        (5.9, ENTANGLER_1E3),
+        (1e-6, READOUT_KAPPA_5),
+        (2.0 * PI, READOUT_KAPPA_5),
+    ],
+    ids=["entangler-t=pi/2", "entangler-t=5.9", "readout-tau=1e-6", "readout-tau=2pi"],
+)
+def test_settled_propagator_matches_arbitrary_precision_expm(t, case):
+    # at the step its guard settles on, the oracle is within the guard's own
+    # h vs h/2 difference of a 40-digit expm
+    a, step, rtol = case
+    value, diff, settled = oracle._settle(lambda h: propagator(a, t, h), step, t, rtol)
+    error = oracle._rel(value, mp_expm(a, t))
+    assert settled and diff <= rtol
+    assert error <= diff
 
 
 @pytest.mark.parametrize("step", [math.nan, math.inf, -1.0, 0.0, 1e-320])
@@ -300,7 +338,7 @@ def test_step_must_be_finite_positive_and_bounded(step):
     with pytest.raises(ValueError, match="step"):
         integrate_moments(sys0, None, vacuum(2), 0.0, 1.0, step=step)
     with pytest.raises(ValueError, match="step"):
-        propagator(sys0.drift, (1.0,), step)
+        propagator(sys0.drift, 1.0, step)
 
 
 def test_guard_margin_recorded_per_check():
@@ -319,20 +357,18 @@ def test_guard_margin_recorded_per_check():
 @pytest.mark.parametrize("taus", [oracle._TAU_GRID + (1e-3,), (1e-6,)])
 def test_readout_guard_sees_the_signal_step_error(taus):
     # The signal starts as kappa*tau^3/6, far below 1, and 1e-6 is shorter
-    # than the default step: the step is capped at 1/8 of the shortest
-    # interval, and the guard is relative to each quantity it compares.
+    # than the default step: each tau starts at 1/8 of itself if that is
+    # finer, and the guard is relative to each quantity it compares.
     grid = VerifyGrid(taus=taus)
     readout = verify_closed_forms(grid).checks[2]
-    ordered = sorted(taus)
-    step = min(PI / 2048.0, min(b - a for a, b in zip((0.0, *ordered), ordered)) / 8.0)
     worst = 0.0
     for kappa in grid.kappas:
         a = build_measurement_system(kappa).augmented(1.0)
-        s_h, s_fine = (
-            np.array([x[5, 8] + x[7, 8] for x in propagator(a, ordered, h)])
-            for h in (step, step / 2.0)
-        )
-        worst = max(worst, float(np.max(np.abs(s_h - s_fine) / np.abs(s_fine))))
+        for tau in taus:
+            step = min(PI / 2048.0, tau / 8.0)
+            s_h, s_fine = (propagator(a, tau, h) for h in (step, step / 2.0))
+            s_h, s_fine = s_h[5, 8] + s_h[7, 8], s_fine[5, 8] + s_fine[7, 8]
+            worst = max(worst, abs(s_h - s_fine) / abs(s_fine))
     assert readout.name == "readout-moments"
     assert 0.0 < readout.guard_margin and worst <= readout.guard_margin
     assert readout.max_rel_error < 1e-10
