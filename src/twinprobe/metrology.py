@@ -15,7 +15,7 @@ bookkeeping kept for cross-checking.  They coincide at tau_scaled =
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,32 +72,28 @@ class MeterParams:
 
 
 def t_minus_sin(t):
-    """t - sin(t) for a float or an array, accurate to roundoff at small |t|.
+    """t - sin(t) for a float or an array, accurate to roundoff at every t.
 
     The plain difference cancels as t shrinks (all digits are lost near
-    t = 1e-8), so below |t| = 0.1 the Taylor series t^3/3! - t^5/5! + ...
-    is summed instead; six terms reach roundoff there (Goldberg, "What
+    t = 1e-8), so below |t| = 1 the Taylor series t^3/3! - t^5/5! + ...
+    is summed instead; nine terms reach roundoff there (Goldberg, "What
     every computer scientist should know about floating-point
-    arithmetic", 1991).
+    arithmetic", 1991).  Above it the difference loses under one digit.
     """
-    small = np.abs(t) < 0.1
+    small = np.abs(t) < 1.0
     ts = np.where(small, t, 0.0)[()]
     t2 = ts * ts
     series = 1.0
-    for k in (12, 10, 8, 6, 4):
+    for k in range(20, 2, -2):
         series = 1.0 - t2 / (k * (k + 1)) * series
     return np.where(small, ts * t2 / 6.0 * series, t - np.sin(t))[()]
-
-
-def _one_minus_cos(t):
-    return 2.0 * np.sin(0.5 * t) ** 2
 
 
 def signal_coeff(m: MeterParams):
     """Force-transfer coefficient <Y1 + Y2> / f after time tau."""
     t = m.tau_scaled
     if m.signal_variant == SIGNAL_PRINTED:
-        ramp = t + _one_minus_cos(t)
+        ramp = t + 2.0 * np.sin(0.5 * t) ** 2
     else:
         ramp = t_minus_sin(t)
     return 2.0 * np.sqrt(2.0) * m.kappa * ramp
@@ -106,10 +102,13 @@ def signal_coeff(m: MeterParams):
 def noise(m: MeterParams, ratio, n_th):
     """Variance of Y1 + Y2 after time tau for a squeezed thermal probe pair.
 
-    Three contributions: the probe pair's squeezed and antisqueezed
-    collective quadratures, rotated by phi and mapped onto the readout,
-    the meter back-action, and the shot floor of the two meters.  Always
-    >= 1.
+    The probe pair's collective quadratures, rotated by phi onto the
+    readout, plus the meter back-action and the meters' shot floor:
+    (1/2 + n_th) 8 kappa^2 sin^2(tau/2) (cos^2 psi / r^2 + r^2 sin^2 psi)
+    + (2 kappa^2 (tau - sin tau))^2 + 1, with psi = phi - phi_opt(tau) and
+    the bracket summed as 1/r^2 + (r^2 - 1/r^2) sin^2 psi.  So psi is
+    exactly 0 at ``phi = phi_opt(tau)``, where the antisqueezed term leaves
+    the readout, and at ratio 1 phi drops out.  Always >= 1.
     """
     if np.any(ratio < 1.0):
         raise ValueError(f"squeeze ratio must be >= 1, got {ratio}")
@@ -117,29 +116,26 @@ def noise(m: MeterParams, ratio, n_th):
         raise ValueError(f"n_th must be nonnegative, got {n_th}")
     t = m.tau_scaled
     k2 = m.kappa**2
-    u = np.sin(t)
-    w = _one_minus_cos(t)
-    c, s = np.cos(m.phi), np.sin(m.phi)
     r2 = ratio**2
-    heat = 1.0 + 2.0 * n_th
-    probe = heat * k2 * ((u * c - w * s) ** 2 / r2 + (u * s + w * c) ** 2 * r2)
-    backaction = 4.0 * k2**2 * t_minus_sin(t) ** 2
+    spread = 1.0 / r2 + (r2 - 1.0 / r2) * np.sin(m.phi - phi_opt(t)) ** 2
+    probe = (0.5 + n_th) * (8.0 * k2 * np.sin(0.5 * t) ** 2 * spread)
+    backaction = (2.0 * k2 * t_minus_sin(t)) ** 2
     return probe + backaction + 1.0
 
 
 def phi_opt(tau_scaled):
     """Rotation angle minimizing the readout noise at this interaction time.
 
-    phi = -tau_scaled/2 puts the antisqueezed quadrature off the readout
-    (u*sin(phi) + w*cos(phi) = 0 with u = sin(tau), w = 1 - cos(tau)), for
-    every squeeze ratio; at ratio 1 the noise does not depend on phi.  The
-    angle is taken modulo pi, into (-pi/2, pi/2].  Takes a float or an
-    array.
+    -tau_scaled/2 modulo pi, into (-pi/2, pi/2]: psi = 0 in ``noise``, for
+    every squeeze ratio.  Taken as -arctan(tan(tau_scaled/2)), within an
+    ulp of the exact angle at any duration, because tan reduces by the
+    exact pi; a multiple of the rounded pi would be off by k ulp.  Takes a
+    float or an array.
     """
     if np.any(tau_scaled < 0):
         raise ValueError(f"tau_scaled must be nonnegative, got {tau_scaled}")
-    half = 0.5 * tau_scaled
-    return np.floor(half / np.pi + 0.5) * np.pi - half
+    phi = -np.arctan(np.tan(0.5 * tau_scaled))
+    return np.where(phi > -0.5 * np.pi, phi, phi + np.pi)[()]
 
 
 def f_min(m: MeterParams, ratio, n_th):
@@ -161,8 +157,11 @@ def f_min_from(m: MeterParams, signal, variance):
 
 
 def sql(m: MeterParams):
-    """Standard quantum limit: f_min of uncoupled ground-state probes."""
-    return f_min(replace(m, phi=0.0), 1.0, 0.0)
+    """Standard quantum limit: f_min of uncoupled ground-state probes.
+
+    At ratio 1 the noise does not depend on the meter's phase.
+    """
+    return f_min(m, 1.0, 0.0)
 
 
 @dataclass(frozen=True)

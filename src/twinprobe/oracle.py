@@ -197,9 +197,13 @@ def propagator(a, t: float, step: float) -> np.ndarray:
 
 
 def _rel(value: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """max |value - reference| / max |reference| over the last two axes."""
+    """max |value - reference| / max |reference| over the last two axes.
+
+    Where the reference is all zero, the absolute gap max |value|.
+    """
     gap = np.max(np.abs(value - reference), axis=(-2, -1))
-    return gap / np.max(np.abs(reference), axis=(-2, -1))
+    scale = np.max(np.abs(reference), axis=(-2, -1))
+    return gap / np.where(scale > 0.0, scale, 1.0)
 
 
 def _settle(measure, step, span, rtol: float, atol: float = 0.0):

@@ -187,19 +187,18 @@ def optimal_kappa(
 ) -> KappaOptimum:
     """Coupling that minimizes f_min at fixed duration, phase-optimized.
 
-    In kappa, f_min**2 = a + b*kappa**2 + c/kappa**2 with
-    b/c = 4*(tau_scaled - sin(tau_scaled))**2 for either signal variant, so
-    the optimum kappa = 1/sqrt(2*(tau_scaled - sin(tau_scaled))) does not
-    depend on the squeeze ratio, the occupation or the variant.  Its f_min
-    is the ``fmin_points`` row, so a non-finite one raises DomainError.
+    In kappa, f_min**2 = a + b*kappa**2 + c/kappa**2 with b/c = 4*ramp**2,
+    ramp = tau_scaled - sin(tau_scaled), for either signal variant, so the
+    optimum kappa = 1/sqrt(2*ramp) sets the back-action (2*kappa**2*ramp)**2
+    of ``noise`` to 1 and does not depend on the squeeze ratio, the
+    occupation or the variant.  Its f_min is the ``fmin_points`` row, so a
+    non-finite one raises DomainError.
     """
     if tau_scaled < 0:
         raise ValueError(f"tau_scaled must be nonnegative, got {tau_scaled}")
     ramp = t_minus_sin(tau_scaled)
     if not ramp > 0.0:
-        raise UndetectableForceError(
-            f"signal transfer vanishes at tau_scaled={tau_scaled}"
-        )
+        raise UndetectableForceError(f"signal transfer vanishes at tau_scaled={tau_scaled}")
     kappa = 1.0 / math.sqrt(2.0 * ramp)
     point = fmin_points(
         tau_scaled,

@@ -200,6 +200,29 @@ def test_fmin_explicit_phi_overrides_opt(launch_cli):
     assert stdout_value(proc, "phi") == 0.0
 
 
+@pytest.mark.parametrize(
+    "args, printed",
+    [
+        (
+            ("fmin", "--r", "1e20", "--tau-scaled", "5.5"),
+            {"noise": "155.034922929", "f_min": "0.709398348701"},
+        ),
+        (
+            ("optimize-kappa", "--r", "1e20", "--tau-scaled", "5.5"),
+            {"kappa_opt": "0.283854119296", "f_min": "0.283854119296"},
+        ),
+        (("fmin", "--tau-scaled", "1e6", "--r", "3"), {"phi": "0.178782083543"}),
+    ],
+)
+def test_readout_exact_at_the_optimal_phase(launch_cli, args, printed):
+    # at phi = opt the antisqueezed quadrature leaves the readout exactly, so
+    # a large ratio leaves no rounding residual times ratio**2 in the noise
+    proc = launch_cli(*args)
+    assert proc.returncode == 0
+    lines = dict(line.split(" = ") for line in proc.stdout.splitlines())
+    assert {key: lines[key] for key in printed} == printed
+
+
 def test_fmin_without_sql_prints_nan(launch_cli, tmp_path):
     out = tmp_path / "point.csv"
     proc = launch_cli("fmin", "--no-include-sql", "--out", str(out))
@@ -724,15 +747,37 @@ def test_largest_accepted_scale_stays_finite(launch_cli, tmp_path, args):
 
 
 @pytest.mark.parametrize(
+    "args, printed",
+    [
+        (("fig1", "--n-th", "1e300", "--r-list", "1e50", "--points", "4"), {}),
+        (("fmin", "--n-th", "1e308", "--r", "10"), {"noise": "4e+306"}),
+        (
+            ("optimize-kappa", "--tau-scaled", "1e300"),
+            {"kappa_opt": "7.07106781187e-151", "f_min": "7.07106781187e-151"},
+        ),
+    ],
+    ids=["fig1-n-th", "fmin-n-th", "optimize-kappa-tau"],
+)
+def test_finite_result_near_the_float_limit(launch_cli, tmp_path, args, printed):
+    # the true answer is finite, so no intermediate of the closed forms may overflow
+    out_csv = tmp_path / "x.csv"
+    code, out, err = launch_cli(*args, "--out", str(out_csv))
+    assert code == 0 and err == ""
+    lines = dict(line.split(" = ") for line in out.splitlines() if " = " in line)
+    assert {key: lines[key] for key in printed} == printed
+    rows = out_csv.read_text().splitlines()[1:] if out_csv.exists() else []
+    assert all(math.isfinite(float(x)) for row in rows for x in row.split(","))
+    assert all(math.isfinite(float(x)) for x in lines.values())
+
+
+@pytest.mark.parametrize(
     "args, quantity",
     [
-        (("fig1", "--n-th", "1e300", "--r-list", "1e50", "--points", "4"), "noise"),
-        (("fmin", "--n-th", "1e308", "--r", "10"), "noise"),
         (("fmin", "--tau-scaled", "1e300"), "noise"),
-        (("optimize-kappa", "--tau-scaled", "1e300"), "noise"),
         (("fig1", "--axis-hi", "1e308", "--points", "4"), "signal"),
         (("fig2", "--axis-lo", "1e-320", "--points", "4"), "f_min"),
     ],
+    ids=["args2-noise", "args4-signal", "args5-f_min"],
 )
 def test_non_finite_result_is_domain_error(launch_cli, tmp_path, args, quantity):
     out_csv = tmp_path / "x.csv"

@@ -20,6 +20,7 @@ from twinprobe.metrology import (
     t_minus_sin,
 )
 from twinprobe.dynamics import ProbeParams
+from twinprobe.sweep import optimal_kappa
 
 PI = math.pi
 
@@ -196,6 +197,78 @@ def test_t_minus_sin_matches_exact_series():
     assert rel.max() <= 12 * np.finfo(float).eps / 0.1**2
     assert [t_minus_sin(float(t)) for t in taus] == list(got)
     assert t_minus_sin(0.0) == 0.0
+
+
+FENCE_TAUS = (1e-6, 1e-3, 0.115, 0.3, 0.9, PI / 2, 5.5, 100.0, 1e6)
+FENCE_KAPPAS = (1e-3, 1.0, 1e3)
+FENCE_RATIOS = (1.0, 1e4, 1e8, 1e16, 1e50)
+FENCE_N_THS = (0.0, 20.0, 1e300)
+FENCE_PHIS = (0.0, 0.7, -1.1)
+
+
+def test_closed_forms_match_arbitrary_precision_over_the_domain():
+    # every readout closed form against a 40-digit evaluation of the same
+    # physics over the accepted domain; a numeric phi is referred to the
+    # exact offset psi = phi + tau/2 from the optimum
+    mp = pytest.importorskip("mpmath")
+    bounds = {
+        "signal": 1e-15,
+        "noise at opt": 1e-15,
+        "kappa_opt": 1e-15,
+        "f_min": 2e-15,
+        "sql": 2e-15,
+        "noise at a numeric phi": 1e-14,
+        "phi_opt": 2.5e-16,
+    }
+    errors = dict.fromkeys(bounds, 0.0)
+    tau, kappa, ratio, n_th = np.ix_(FENCE_TAUS, FENCE_KAPPAS, FENCE_RATIOS, FENCE_N_THS)
+    phi = phi_opt(tau)
+    at_opt = noise(MeterParams(kappa, tau, phi), ratio, n_th)
+    with np.errstate(over="ignore"):
+        phis = np.array(FENCE_PHIS)[:, None, None, None, None]
+        at_phis = noise(MeterParams(kappa, tau, phis), ratio, n_th)
+    variants = {}
+    for v in SIGNAL_VARIANTS:
+        m = MeterParams(kappa, tau, phi, v)
+        variants[v] = signal_coeff(m), f_min(m, ratio, n_th), sql(replace(m, phi=0.7))
+
+    def check(name, value, ref):
+        errors[name] = max(errors[name], float(abs(mp.mpf(float(value)) - ref) / abs(ref)))
+
+    with mp.workdps(40):
+        for i, t in enumerate(map(mp.mpf, FENCE_TAUS)):
+            half_sin2, ramp = mp.sin(t / 2) ** 2, t - mp.sin(t)
+            ramps = {SIGNAL_CONSISTENT: ramp, SIGNAL_PRINTED: t + 2 * half_sin2}
+
+            def ref_noise(k, psi, r, n):
+                spread = mp.cos(psi) ** 2 / r**2 + r**2 * mp.sin(psi) ** 2
+                return (0.5 + n) * 8 * k**2 * half_sin2 * spread + (2 * k**2 * ramp) ** 2 + 1
+
+            for (j, a, b), value in np.ndenumerate(at_opt[i]):
+                k, r, n = map(mp.mpf, (FENCE_KAPPAS[j], FENCE_RATIOS[a], FENCE_N_THS[b]))
+                ref = ref_noise(k, 0, r, n)
+                check("noise at opt", value, ref)
+                for c, p in enumerate(FENCE_PHIS):
+                    at_p = ref_noise(k, p + t / 2, r, n)
+                    if mp.isinf(float(at_p)):
+                        assert at_phis[c, i, j, a, b] == math.inf
+                    else:
+                        check("noise at a numeric phi", at_phis[c, i, j, a, b], at_p)
+                for v, (signal, fmin, ground) in variants.items():
+                    scale = 2 * mp.sqrt(2) * ramps[v]
+                    check("signal", signal[i, j, 0, 0], scale * k)
+                    check("f_min", fmin[i, j, a, b], mp.sqrt(ref) / (scale * k))
+                    check("sql", ground[i, j, 0, 0], mp.sqrt(ref_noise(k, 0, 1, 0)) / (scale * k))
+                    if j == 0:
+                        best = optimal_kappa(FENCE_TAUS[i], float(r), float(n), signal_variant=v)
+                        k_opt = 1 / mp.sqrt(2 * ramp)
+                        check("kappa_opt", best.kappa, k_opt)
+                        at_best = mp.sqrt(ref_noise(k_opt, 0, r, n)) / (scale * k_opt)
+                        check("f_min", best.f_min, at_best)
+        gaps = [mp.fmod(p + mp.mpf(t) / 2, mp.pi) for t, p in zip(FENCE_TAUS, phi.ravel())]
+        errors["phi_opt"] = max(float(min(abs(g), mp.pi - abs(g))) for g in gaps)
+    assert all(-PI / 2 < p <= PI / 2 for p in phi.ravel())
+    assert {name: err for name, err in errors.items() if err > bounds[name]} == {}
 
 
 @settings(max_examples=60, deadline=None)

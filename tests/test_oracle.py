@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,16 @@ def test_verify_small_grid_passes():
     ]
     assert all(c.points > 0 for c in report.checks)
     assert max(c.max_rel_error for c in report.checks) < 1e-8
+
+
+def test_verify_grid_with_a_zero_reference():
+    # the signal at tau 0 is exactly 0, so its error is the absolute gap
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_closed_forms(VerifyGrid(taus=(0.0,), kappas=(1.0,)))
+    assert report.passed
+    assert report.checks[-1].name == "readout-moments"
+    assert report.checks[-1].max_rel_error == 0.0
 
 
 def test_verify_printed_signal_is_informational():
