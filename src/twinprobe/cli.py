@@ -17,7 +17,9 @@ verification failure.
 
 The module top imports only the standard library and ``_common``; each
 command imports the numerical layers it uses when it runs, so ``--help``,
-``dump-config`` and a rejected configuration never load numpy.
+``dump-config`` and a rejected configuration never load numpy.  Unless
+numpy is loaded already, ``main`` sets OPENBLAS_NUM_THREADS to 1 where the
+environment does not set it.
 """
 from __future__ import annotations
 
@@ -43,8 +45,8 @@ EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
 
-# Largest grid a sweep accepts: its record array is 72 bytes per row, one
-# row per point and squeeze ratio.
+# Largest grid a sweep accepts: its noise and f_min columns hold 16 bytes per
+# row, one row per point and squeeze ratio.
 MAX_POINTS = 10**6
 # Largest magnitude of r, of an r_list entry and of kappa.  The closed forms
 # take ratio**2 and kappa**4, which then stay far inside the float range.
@@ -110,7 +112,7 @@ class RunConfig:
     full_model: bool = _setting(
         False, _parse_bool, "propagate the full cavity model for comparison"
     )
-    jobs: int = _setting(1, int, "accepted for compatibility, no effect (must be >= 1)")
+    jobs: int = _setting(1, int, "processes formatting the sweep CSV (must be >= 1)")
     step: float | None = _setting(None, float, "integrator step override")
     gnuplot: str | None = _setting(None, str, "also write a gnuplot script to this path")
 
@@ -296,57 +298,26 @@ def _g(x: float) -> str:
 
 
 def _write_chunks(key: str, path: str, chunks) -> None:
-    """Write strings to an output file one after another.
+    """Write byte strings to an output file one after another.
 
     A path that cannot be written is an error in setting ``key``.
     """
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(path, "wb") as fh:
             fh.writelines(chunks)
     except OSError as exc:
         raise ConfigError(f"cannot write {key} {path}: {exc.strerror}") from None
 
 
-# Rows formatted per write: the writer's memory depends on this, not on the
-# row count.
-CSV_BLOCK_ROWS = 4096
+def _write_csv(path: str, axis: str, columns, jobs: int = 1) -> None:
+    """Write sweep columns as CSV, formatted by ``jobs`` processes (see ``_csv``)."""
+    from ._csv import csv_chunks
 
-
-def _csv_blocks(axis: str, rows):
-    """The CSV text of a record array, one string per block of rows.
-
-    Nearly all the time goes to ``%.12g``, and in a sweep most values
-    repeat within a block (the ratio, and every column that does not
-    depend on it), so each distinct value of a column is formatted once.
-    Values are told apart by their bits, which keeps 0.0 and -0.0 apart;
-    the text is the same as formatting every value.
-    """
-    import numpy as np
-
-    names = (axis, "ratio", "phi", "signal", "noise", "f_min", "f_sql")
-    yield "axis,r,phi_opt,signal,noise,f_min,f_sql\n"
-    for start in range(0, len(rows), CSV_BLOCK_ROWS):
-        block = rows[start : start + CSV_BLOCK_ROWS]
-        table = np.empty((len(block), len(names)), dtype=object)
-        formats = []
-        for column, name in enumerate(names):
-            values = block[name]
-            bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-            if len(bits) == len(values):
-                table[:, column] = values
-                formats.append("%.12g")
-            else:
-                distinct = tuple(bits.view(np.float64).tolist())
-                texts = ("%.12g\n" * len(distinct) % distinct).split("\n")[:-1]
-                table[:, column] = np.array(texts, dtype=object)[inverse]
-                formats.append("%s")
-        row_format = ",".join(formats) + "\n"
-        yield row_format * len(block) % tuple(table.ravel().tolist())
-
-
-def _write_csv(path: str, axis: str, rows) -> None:
-    """Write sweep rows (a record array from ``sweep.fmin_points``) as CSV."""
-    _write_chunks("out", path, _csv_blocks(axis, rows))
+    chunks = csv_chunks(axis, columns, jobs)
+    try:
+        _write_chunks("out", path, chunks)
+    finally:
+        chunks.close()  # reaps the workers when the file could not be written
 
 
 def _write_gnuplot(path: str, csv_path: str, spec: SweepSpec) -> None:
@@ -370,7 +341,7 @@ def _write_gnuplot(path: str, csv_path: str, spec: SweepSpec) -> None:
             "with lines dashtype 2 title 'SQL'"
         )
     lines.append("plot \\\n  " + ", \\\n  ".join(plots))
-    _write_chunks("gnuplot", path, ["\n".join(lines) + "\n"])
+    _write_chunks("gnuplot", path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
 def cmd_entangle(cfg: RunConfig) -> int:
@@ -403,7 +374,7 @@ def cmd_entangle(cfg: RunConfig) -> int:
 
 def _run_sweep(cfg: RunConfig, base: SweepSpec, command: str) -> int:
     paths = _output_paths(command, cfg)
-    from .sweep import fmin_curve
+    from .sweep import curve_columns
 
     overrides = {
         "kappa": cfg.kappa,
@@ -419,9 +390,8 @@ def _run_sweep(cfg: RunConfig, base: SweepSpec, command: str) -> int:
     if cfg.axis_hi is not None:
         overrides["hi"] = cfg.axis_hi
     spec = replace(base, **overrides)
-    rows = fmin_curve(spec)
-    _write_csv(paths["out"], spec.axis, rows)
-    print(f"wrote {len(rows)} rows to {paths['out']}")
+    _write_csv(paths["out"], spec.axis, curve_columns(spec), cfg.jobs)
+    print(f"wrote {spec.points * len(spec.ratios)} rows to {paths['out']}")
     if "gnuplot" in paths:
         _write_gnuplot(paths["gnuplot"], paths["out"], spec)
         print(f"wrote gnuplot script to {paths['gnuplot']}")
@@ -441,9 +411,9 @@ def cmd_fig2(cfg: RunConfig) -> int:
 
 
 def cmd_fmin(cfg: RunConfig) -> int:
-    from .sweep import fmin_points
+    from .sweep import fmin_columns
 
-    point = fmin_points(
+    point = fmin_columns(
         cfg.tau_scaled,
         cfg.kappa,
         cfg.r if cfg.r is not None else 1.0,
@@ -452,8 +422,8 @@ def cmd_fmin(cfg: RunConfig) -> int:
         signal_variant=cfg.signal_variant,
         include_sql=cfg.include_sql,
     )
-    for name in point.dtype.names:
-        print(f"{name} = {_g(point[name][0])}")
+    for name, value in point.items():
+        print(f"{name} = {_g(value)}")
     if cfg.out:
         _write_csv(cfg.out, "tau_scaled", point)
         print(f"wrote 1 row to {cfg.out}")
@@ -571,6 +541,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:
+        # No command multiplies anything larger than 9x9, so OpenBLAS's
+        # thread pool only spends CPU; it reads this when numpy loads.
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     argv = sys.argv[1:] if argv is None else list(argv)
     # The top-level parser takes no option with a value, so the first word
     # that is not an option names the subcommand.

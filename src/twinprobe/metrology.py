@@ -110,6 +110,11 @@ def noise(m: MeterParams, ratio, n_th):
     exactly 0 at ``phi = phi_opt(tau)``, where the antisqueezed term leaves
     the readout, and at ratio 1 phi drops out.  Always >= 1.
     """
+    return _noise(m, ratio, n_th, m.phi - phi_opt(m.tau_scaled))
+
+
+def _noise(m: MeterParams, ratio, n_th, psi):
+    """``noise`` at the phase offset ``psi`` = phi - phi_opt(tau), already taken."""
     if np.any(ratio < 1.0):
         raise ValueError(f"squeeze ratio must be >= 1, got {ratio}")
     if np.any(n_th < 0):
@@ -117,7 +122,7 @@ def noise(m: MeterParams, ratio, n_th):
     t = m.tau_scaled
     k2 = m.kappa**2
     r2 = ratio**2
-    spread = 1.0 / r2 + (r2 - 1.0 / r2) * np.sin(m.phi - phi_opt(t)) ** 2
+    spread = 1.0 / r2 + (r2 - 1.0 / r2) * np.sin(psi) ** 2
     probe = (0.5 + n_th) * (8.0 * k2 * np.sin(0.5 * t) ** 2 * spread)
     backaction = (2.0 * k2 * t_minus_sin(t)) ** 2
     return probe + backaction + 1.0
@@ -161,7 +166,12 @@ def sql(m: MeterParams):
 
     At ratio 1 the noise does not depend on the meter's phase.
     """
-    return f_min(m, 1.0, 0.0)
+    return _sql_from(m, signal_coeff(m))
+
+
+def _sql_from(m: MeterParams, signal):
+    """``sql(m)`` from the already evaluated ``signal_coeff(m)``."""
+    return f_min_from(m, signal, _noise(m, 1.0, 0.0, 0.0))
 
 
 @dataclass(frozen=True)

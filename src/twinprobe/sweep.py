@@ -3,9 +3,10 @@
 Sweeps evaluate the closed-form minimum detectable force on an axis grid
 (one row per squeeze ratio per grid point, axis-major order), always at
 the interference phase that minimizes the noise for that grid point.
-Each sweep is one broadcast evaluation of the closed forms; rows come back
-as a record array, so the command line layer can serialize them without
-recomputation.
+Each sweep is one broadcast evaluation of the closed forms.  It comes back
+as columns, each at the shape of the inputs it depends on, which the
+command line layer serializes without recomputation or repetition, or as
+a record array of rows.
 """
 from __future__ import annotations
 
@@ -18,11 +19,11 @@ from ._common import SIGNAL_CONSISTENT, SIGNAL_VARIANTS, DomainError
 from .metrology import (
     MeterParams,
     UndetectableForceError,
+    _noise,
+    _sql_from,
     f_min_from,
-    noise,
     phi_opt,
     signal_coeff,
-    sql,
     t_minus_sin,
 )
 
@@ -33,7 +34,8 @@ __all__ = [
     "fig2_spec",
     "axis_values",
     "fmin_curve",
-    "fmin_points",
+    "fmin_columns",
+    "curve_columns",
     "optimal_kappa",
 ]
 
@@ -95,7 +97,7 @@ def axis_values(spec: SweepSpec) -> np.ndarray:
     return np.linspace(spec.lo, spec.hi, spec.points)
 
 
-def fmin_points(
+def fmin_columns(
     tau_scaled,
     kappa,
     ratio,
@@ -104,24 +106,32 @@ def fmin_points(
     *,
     signal_variant: str = SIGNAL_CONSISTENT,
     include_sql: bool = True,
-) -> np.recarray:
-    """Evaluate f_min and its parts at every point of the broadcast inputs.
+) -> dict[str, np.ndarray]:
+    """Evaluate f_min and its parts on the broadcast inputs, one array per quantity.
 
-    The inputs are floats or arrays that broadcast together.  The result is
-    a flat, read-only record array with one row per broadcast element, in C
-    order, and the fields tau_scaled, kappa, ratio, n_th, phi, signal,
-    noise, f_min and f_sql (nan unless ``include_sql`` is set).  A signal,
-    noise, f_min or f_sql that overflows to inf or nan raises DomainError
-    naming the first such quantity and its point.
+    The inputs are floats or arrays that broadcast together.  The result
+    maps tau_scaled, kappa, ratio, n_th, phi, signal, noise, f_min and f_sql
+    (nan unless ``include_sql`` is set), in that order, to float arrays, each
+    at the shape of the inputs it depends on; broadcast together they give
+    one value per point.  A signal, noise, f_min or f_sql that overflows to
+    inf or nan raises DomainError naming the first such quantity and the
+    first such point, in C order.
     """
+    return _columns(
+        tau_scaled, kappa, ratio, n_th, phi, phi - phi_opt(tau_scaled), signal_variant, include_sql
+    )
+
+
+def _columns(tau_scaled, kappa, ratio, n_th, phi, psi, signal_variant, include_sql):
+    """``fmin_columns`` with the phase offset ``psi`` = phi - phi_opt(tau) already taken."""
     meter = MeterParams(
         kappa=kappa, tau_scaled=tau_scaled, phi=phi, signal_variant=signal_variant
     )
     # an overflow or 0 * inf surfaces as a non-finite column, refused below
     with np.errstate(all="ignore"):
         signal = signal_coeff(meter)
-        variance = noise(meter, ratio, n_th)
-        columns = {
+        variance = _noise(meter, ratio, n_th, psi)
+        values = {
             "tau_scaled": tau_scaled,
             "kappa": kappa,
             "ratio": ratio,
@@ -130,46 +140,61 @@ def fmin_points(
             "signal": signal,
             "noise": variance,
             "f_min": f_min_from(meter, signal, variance),
-            "f_sql": sql(meter) if include_sql else math.nan,
+            "f_sql": _sql_from(meter, signal) if include_sql else math.nan,
         }
-    shape = np.broadcast_shapes(*map(np.shape, columns.values()))
-    rows = np.empty(shape, [(name, float) for name in columns])
-    for name, values in columns.items():
-        rows[name] = values
-    rows = rows.reshape(-1).view(np.recarray)
-    rows.flags.writeable = False
+    columns = {name: np.asarray(value, dtype=float) for name, value in values.items()}
+    shape = np.broadcast_shapes(*(column.shape for column in columns.values()))
     for name in ("signal", "noise", "f_min", "f_sql")[: 4 if include_sql else 3]:
-        bad = ~np.isfinite(rows[name])
+        bad = ~np.isfinite(columns[name])
         if bad.any():
-            row = rows[np.argmax(bad)]
+            at = np.unravel_index(np.argmax(np.broadcast_to(bad, shape)), shape)
+            point = {key: np.broadcast_to(column, shape)[at] for key, column in columns.items()}
             raise DomainError(
-                f"{name} is not finite ({row[name]:g}) at tau_scaled={row.tau_scaled:g}, "
-                f"kappa={row.kappa:g}, ratio={row.ratio:g}, n_th={row.n_th:g}"
+                f"{name} is not finite ({point[name]:g}) at tau_scaled={point['tau_scaled']:g}, "
+                f"kappa={point['kappa']:g}, ratio={point['ratio']:g}, n_th={point['n_th']:g}"
             )
-    return rows
+    return columns
 
 
-def fmin_curve(spec: SweepSpec, jobs: int = 1) -> np.recarray:
-    """Evaluate the sweep, axis-major: all ratios for a grid point together.
+def curve_columns(spec: SweepSpec) -> dict[str, np.ndarray]:
+    """The sweep as ``fmin_columns``: axis quantities at (points, 1), ratio at (1, ratios).
 
-    One broadcast call over a (points, 1) axis column and a (1, ratios)
-    row; see ``fmin_points`` for the rows.  ``jobs`` is accepted for
-    compatibility and must be at least 1; it changes nothing.
+    phi is ``phi_opt`` of the axis, so the noise takes it at offset 0, and
+    f_sql reuses the signal.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     x = axis_values(spec)[:, None]
     tau = x if spec.axis == "tau_scaled" else spec.tau_scaled
     kappa = x if spec.axis == "kappa" else spec.kappa
-    return fmin_points(
+    return _columns(
         tau,
         kappa,
         np.array(spec.ratios)[None, :],
         spec.n_th,
         phi_opt(tau),
-        signal_variant=spec.signal_variant,
-        include_sql=spec.include_sql,
+        0.0,
+        spec.signal_variant,
+        spec.include_sql,
     )
+
+
+def fmin_curve(spec: SweepSpec, jobs: int = 1) -> np.recarray:
+    """Evaluate the sweep as rows, axis-major: all ratios for a grid point together.
+
+    A flat, read-only record array of the ``curve_columns`` broadcast
+    together, one row per grid point and ratio, with the fields of
+    ``fmin_columns``.  ``jobs`` must be at least 1 and changes nothing; the
+    command line's ``--jobs`` sets the processes that format the CSV.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    columns = curve_columns(spec)
+    shape = np.broadcast_shapes(*(column.shape for column in columns.values()))
+    rows = np.empty(shape, [(name, float) for name in columns])
+    for name, column in columns.items():
+        rows[name] = column
+    rows = rows.reshape(-1).view(np.recarray)
+    rows.flags.writeable = False
+    return rows
 
 
 @dataclass(frozen=True)
@@ -191,7 +216,7 @@ def optimal_kappa(
     ramp = tau_scaled - sin(tau_scaled), for either signal variant, so the
     optimum kappa = 1/sqrt(2*ramp) sets the back-action (2*kappa**2*ramp)**2
     of ``noise`` to 1 and does not depend on the squeeze ratio, the
-    occupation or the variant.  Its f_min is the ``fmin_points`` row, so a
+    occupation or the variant.  Its f_min is the ``fmin_columns`` value, so a
     non-finite one raises DomainError.
     """
     if tau_scaled < 0:
@@ -200,7 +225,7 @@ def optimal_kappa(
     if not ramp > 0.0:
         raise UndetectableForceError(f"signal transfer vanishes at tau_scaled={tau_scaled}")
     kappa = 1.0 / math.sqrt(2.0 * ramp)
-    point = fmin_points(
+    point = fmin_columns(
         tau_scaled,
         kappa,
         ratio,
@@ -209,4 +234,4 @@ def optimal_kappa(
         signal_variant=signal_variant,
         include_sql=False,
     )
-    return KappaOptimum(kappa=kappa, f_min=point.f_min[0])
+    return KappaOptimum(kappa=kappa, f_min=float(point["f_min"]))

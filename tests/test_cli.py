@@ -1,5 +1,6 @@
 import importlib
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -12,10 +13,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from twinprobe import cli, dynamics
+from twinprobe import _csv, cli, dynamics
 from twinprobe.cli import RunConfig
 from twinprobe.metrology import phi_opt
-from twinprobe.sweep import fig1_spec, fmin_curve, fmin_points
+from twinprobe.sweep import curve_columns, fig1_spec, fmin_columns
 
 PI = math.pi
 
@@ -346,6 +347,7 @@ def test_gnuplot_onto_the_csv_is_config_error(launch_cli, tmp_path, args):
         (("fig1", "--points", "4", "--out", "{bad}/x.csv"), "out"),
         (("fmin", "--out", "{bad}/x.csv"), "out"),
         (("fig1", "--points", "4", "--out", "{tmp}/x.csv", "--gnuplot", "{bad}/x.gp"), "gnuplot"),
+        (("fig1", "--points", "3000", "--jobs", "2", "--out", "{bad}/x.csv"), "out"),
     ],
 )
 def test_unwritable_output_is_config_error(launch_cli, tmp_path, args, key):
@@ -354,14 +356,41 @@ def test_unwritable_output_is_config_error(launch_cli, tmp_path, args, key):
     assert proc.returncode == 2
     assert f"config error: cannot write {key} {bad}/x." in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert_no_child_process()
 
 
-def test_csv_determinism(launch_cli, tmp_path):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    assert launch_cli("fig1", "--points", "32", "--out", str(a)).returncode == 0
-    assert launch_cli("fig1", "--points", "32", "--jobs", "3", "--out", str(b)).returncode == 0
-    assert a.read_bytes() == b.read_bytes()
+def assert_no_child_process():
+    """No worker of the CSV writer is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_csv_determinism(launch_cli, monkeypatch, tmp_path):
+    def csv(*args):
+        out = tmp_path / "out.csv"
+        code, stdout, err = launch_cli(*args, "--points", "5000", "--out", str(out))
+        assert (code, stdout, err) == (0, f"wrote 15000 rows to {out}\n", "")
+        assert_no_child_process()
+        return out.read_bytes()
+
+    # 5000 points and three ratios make four blocks: --jobs 2 gives the worker
+    # two of them, and --jobs 7 exceeds the block count
+    for fig in ("fig1", "fig2"):
+        for extra in ((), ("--no-include-sql",), ("--signal-variant", "printed")):
+            blobs = {csv(fig, "--jobs", jobs, *extra) for jobs in ("1", "2", "3", "7")}
+            assert len(blobs) == 1
+    assert launch_cli("fig1", "--jobs", "0") == (2, "", "config error: jobs must be at least 1, got 0\n")
+    assert not (tmp_path / "fig1.csv").exists()
+    # a worker that exits before sending, or a fork that fails, leaves its blocks to this process
+    want = csv("fig1")
+    monkeypatch.setattr(_csv, "_send_blocks", lambda *args: os._exit(1))
+    assert csv("fig1", "--jobs", "3") == want
+
+    def failed_fork():
+        raise OSError("fork failed")
+
+    monkeypatch.setattr(os, "fork", failed_fork)
+    assert csv("fig1", "--jobs", "3") == want
 
 
 def test_config_file_env_flag_precedence(launch_cli, tmp_path):
@@ -617,35 +646,42 @@ def test_console_script_entry_point():
     assert "f_min" in proc.stdout
 
 
-B = cli.CSV_BLOCK_ROWS
+B = _csv.BLOCK_ROWS
+CSV_FIELDS = ("ratio", "phi", "signal", "noise", "f_min", "f_sql")
 
 
-def one_shot_csv(axis, rows):
+def one_shot_csv(axis, columns):
     """The CSV text as a single join of every row, the writer's reference."""
-    columns = (rows[axis], rows.ratio, rows.phi, rows.signal, rows.noise, rows.f_min, rows.f_sql)
-    row_format = ",".join(["%.12g"] * len(columns))
+    shape = np.broadcast_shapes(*(np.shape(columns[name]) for name in (axis, *CSV_FIELDS)))
+    flat = [np.broadcast_to(columns[name], shape).ravel().tolist() for name in (axis, *CSV_FIELDS)]
+    row_format = ",".join(["%.12g"] * len(flat))
     lines = ["axis,r,phi_opt,signal,noise,f_min,f_sql"]
-    lines += [row_format % values for values in zip(*(c.tolist() for c in columns))]
+    lines += [row_format % values for values in zip(*flat)]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def edge_value_rows(n, axis, include_sql):
-    """Rows in the record layout of ``fmin_points`` holding the values a writer can get wrong."""
+def edge_value_columns(points, axis, include_sql):
+    """Columns of every shape the writer takes, holding the values it can get wrong.
+
+    Two ratios, so a block holds B // 2 points; the per-row columns change
+    on the ratio axis and the others repeat along it.
+    """
     rng = np.random.default_rng(20)
     nan_payload = np.array([0x7FF8000000000001], np.uint64).view(np.float64)[0]
     specials = [0.0, -0.0, math.nan, -math.nan, nan_payload, math.inf, -math.inf,
                 5e-324, -2.5e-310, 1e300, -1e300]
-    rows = np.zeros(n, fmin_points(1.0, 1.0, 1.0, 0.0, 0.0).dtype).view(np.recarray)
-    rows[axis] = 0.05 + 0.1 * np.arange(n)  # every value distinct
-    rows.ratio = 2.5  # every value equal
-    rows.phi = np.resize([0.0, -0.0], n)
-    rows.signal = rng.choice(specials, n)
-    rows.noise = np.linspace(1.0, 2.0, n)
+    noise = np.linspace(1.0, 2.0, 2 * points).reshape(points, 2)
     # one value far apart and on both sides of the first block boundary
-    rows.noise[[0, B - 1, B, n - 1]] = 1.0 / 3.0
-    rows.f_min = rng.choice([1.0 / 3.0, 2.0 / 3.0, PI, 1e-7, 123456.789], n)
-    rows.f_sql = rng.uniform(1.0, 2.0, n) if include_sql else math.nan
-    return rows
+    noise.flat[[0, B - 1, B, 2 * points - 1]] = 1.0 / 3.0
+    return {
+        axis: (0.05 + 0.1 * np.arange(points))[:, None],  # every value distinct
+        "ratio": np.array([[2.5, nan_payload]]),
+        "phi": np.resize([0.0, -0.0], (points, 1)),
+        "signal": rng.choice(specials, (points, 1)),
+        "noise": noise,
+        "f_min": rng.choice([1.0 / 3.0, 2.0 / 3.0, PI, 1e-7, 123456.789], (points, 2)),
+        "f_sql": rng.uniform(1.0, 2.0, (points, 1)) if include_sql else np.array(math.nan),
+    }
 
 
 @pytest.mark.parametrize("include_sql", [True, False])
@@ -653,29 +689,30 @@ def edge_value_rows(n, axis, include_sql):
 @pytest.mark.parametrize("case", [1, B - 1, B, B + 1, 3 * B + 7, "edge_values"])
 def test_csv_block_writer_matches_one_shot_join(tmp_path, case, axis, include_sql):
     if case == "edge_values":
-        n = 2 * B + 3
-        rows = edge_value_rows(n, axis, include_sql)
+        layouts = [edge_value_columns(B + 2, axis, include_sql)]
     else:
+        # one row per point with its own ratio, and the sweep's points x three ratios
         n = case
-        grid = np.linspace(0.05, 2 * PI, n) if n > 1 else np.array([1.2])
+        grid = np.linspace(0.05, 2 * PI, n)[:, None] if n > 1 else np.array([[1.2]])
         tau = grid if axis == "tau_scaled" else PI / 2
         kappa = grid if axis == "kappa" else 0.8
-        ratio = np.resize([1.0, 2.5, 10.0], n)
-        rows = fmin_points(
-            tau, kappa, ratio, 20.0, phi_opt(tau), include_sql=include_sql
-        )
-    assert len(rows) == n
-    out = tmp_path / "rows.csv"
-    cli._write_csv(str(out), axis, rows)
-    assert out.read_bytes() == one_shot_csv(axis, rows)
+        ratios = (np.resize([1.0, 2.5, 10.0], (n, 1)), np.array([[1.0, 2.5, 10.0]]))
+        layouts = [
+            fmin_columns(tau, kappa, ratio, 20.0, phi_opt(tau), include_sql=include_sql)
+            for ratio in ratios
+        ]
+    for columns in layouts:
+        out = tmp_path / "rows.csv"
+        cli._write_csv(str(out), axis, columns)
+        assert out.read_bytes() == one_shot_csv(axis, columns)
 
 
 def test_csv_block_writer_memory_does_not_grow_with_rows(tmp_path):
-    rows = fmin_curve(fig1_spec(points=20000, ratios=(1.3, 4.2, 8.8)))
+    columns = curve_columns(fig1_spec(points=20000, ratios=(1.3, 4.2, 8.8)))
     out = tmp_path / "big.csv"
     tracemalloc.start()
     try:
-        cli._write_csv(str(out), "tau_scaled", rows)
+        cli._write_csv(str(out), "tau_scaled", columns)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -776,8 +813,10 @@ def test_finite_result_near_the_float_limit(launch_cli, tmp_path, args, printed)
         (("fmin", "--tau-scaled", "1e300"), "noise"),
         (("fig1", "--axis-hi", "1e308", "--points", "4"), "signal"),
         (("fig2", "--axis-lo", "1e-320", "--points", "4"), "f_min"),
+        (("fig1", "--axis-hi", "1e308", "--points", "4", "--jobs", "2"), "signal"),
+        (("fig2", "--axis-lo", "1e-320", "--points", "3000", "--jobs", "2"), "f_min"),
     ],
-    ids=["args2-noise", "args4-signal", "args5-f_min"],
+    ids=["args2-noise", "args4-signal", "args5-f_min", "jobs2-signal", "jobs2-f_min"],
 )
 def test_non_finite_result_is_domain_error(launch_cli, tmp_path, args, quantity):
     out_csv = tmp_path / "x.csv"
@@ -785,6 +824,7 @@ def test_non_finite_result_is_domain_error(launch_cli, tmp_path, args, quantity)
     assert code == 3
     assert err.startswith(f"domain error: {quantity} is not finite ")
     assert out == "" and not out_csv.exists()
+    assert_no_child_process()
 
 
 @pytest.mark.parametrize("argv", [["--help"]] + [[name, "--help"] for name, *_ in cli._COMMANDS])

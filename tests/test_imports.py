@@ -31,8 +31,11 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
 
-def _python(code, *args, cwd):
+def _python(code, *args, cwd, blas_threads=None):
     env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     proc = subprocess.run(
         [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, cwd=cwd
     )
@@ -84,6 +87,26 @@ def test_oracle_commands_load_the_oracle(tmp_path, argv):
     code, modules = _modules_after_main(argv, tmp_path)
     assert code == 0
     assert "twinprobe.oracle" in modules
+
+
+_REPORT_THREADS = """
+import contextlib, io, json, os
+from twinprobe import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["fmin"])
+threads = len(os.listdir("/proc/self/task"))
+print(json.dumps({"code": code, "threads": threads, "env": os.environ["OPENBLAS_NUM_THREADS"]}))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc")
+@pytest.mark.parametrize("given", [None, "2"])
+def test_main_pins_blas_to_one_thread_unless_set(tmp_path, given):
+    report = json.loads(_python(_REPORT_THREADS, cwd=tmp_path, blas_threads=given))
+    assert report["code"] == 0
+    assert report["env"] == (given or "1")
+    if given is None:
+        assert report["threads"] == 1
 
 
 def test_bare_import_loads_no_numpy(tmp_path):
