@@ -357,7 +357,7 @@ def cmd_entangle(cfg: RunConfig) -> int:
     print(f"squeeze ratio           = {_g(out.ratio)}")
     print(f"switch-off time         = {_g(out.switch_off_time)}")
     print("covariance (q1, p1, q2, p2):")
-    for row in out.covariance.matrix:
+    for row in out.covariance:
         print("  " + "  ".join(f"{v: .9e}" for v in row))
     print(f"relative q variance     = {_g(out.relative_q_variance)}")
     print(f"total p variance        = {_g(out.total_p_variance)}")

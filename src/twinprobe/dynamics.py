@@ -11,12 +11,12 @@ covariance is diagonal in the (q1 -/+ q2, p1 -/+ p2) combinations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._common import DomainError, finite
-from .gaussian import CovarianceMatrix, VACUUM_VARIANCE
+from .gaussian import VACUUM_VARIANCE, _read_only
 
 __all__ = [
     "UnstableRegimeError",
@@ -122,11 +122,11 @@ def transfer_matrix(p: ProbeParams, t: float) -> np.ndarray:
     )
 
 
-def thermal_covariance(n_th: float) -> CovarianceMatrix:
+def thermal_covariance(n_th: float) -> np.ndarray:
     """Uncorrelated thermal covariance of the two probes, (1/2 + n_th) I."""
     if n_th < 0:
         raise ValueError(f"n_th must be nonnegative, got {n_th}")
-    return CovarianceMatrix((VACUUM_VARIANCE + n_th) * np.eye(4))
+    return _read_only((VACUUM_VARIANCE + n_th) * np.eye(4))
 
 
 def occupation_from_temperature(
@@ -148,7 +148,7 @@ def occupation_from_temperature(
     return (1.0 / math.tanh(x) + 1.0) / 2.0
 
 
-def entangled_covariance(ratio: float, n_th: float) -> CovarianceMatrix:
+def entangled_covariance(ratio: float, n_th: float) -> np.ndarray:
     """Probe covariance at coupling switch-off, a quarter period of the fast mode.
 
     The (q1 - q2) variance is squeezed by ratio**2 and the (p1 - p2)
@@ -171,7 +171,7 @@ def entangled_covariance(ratio: float, n_th: float) -> CovarianceMatrix:
         ]
     )
     finite("switch-off covariance", np.max(np.abs(m)))
-    return CovarianceMatrix(m)
+    return _read_only(m)
 
 
 def mode_rotation(phi: float, n_modes: int = 2) -> np.ndarray:
@@ -184,10 +184,11 @@ def mode_rotation(phi: float, n_modes: int = 2) -> np.ndarray:
     return out
 
 
-def rotate(c: CovarianceMatrix, phi: float) -> CovarianceMatrix:
+def rotate(c: np.ndarray, phi: float) -> np.ndarray:
     """Covariance after a common local rotation of every mode by ``phi``."""
-    r = mode_rotation(phi, c.n_modes)
-    return CovarianceMatrix(r @ c.matrix @ r.T)
+    r = mode_rotation(phi, len(c) // 2)
+    m = r @ c @ r.T
+    return _read_only(0.5 * (m + m.T))
 
 
 @dataclass(frozen=True)
@@ -208,7 +209,7 @@ class EntanglerOutput:
     mode_frequency: float
     ratio: float
     switch_off_time: float
-    covariance: CovarianceMatrix
+    covariance: np.ndarray = field(compare=False)  # == and hash see the scalars only
     relative_q_variance: float
     total_p_variance: float
     variance_product: float

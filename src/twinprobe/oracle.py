@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .dynamics import (
     thermal_covariance,
     transfer_matrix,
 )
-from .gaussian import VACUUM_VARIANCE, CovarianceMatrix, direct_sum, vacuum
+from .gaussian import VACUUM_VARIANCE, _read_only, direct_sum, vacuum
 from .metrology import MeterParams, noise, phi_opt, signal_coeff
 
 __all__ = [
@@ -117,7 +118,8 @@ def build_entangler_system(p: ProbeParams, adiabatic: bool = True) -> LinearSyst
         return LinearSystem(a, np.zeros(4), label="entangler-adiabatic")
     if p.delta is None:
         raise ValueError("full entangler model requires nonzero delta")
-    gb = math.sqrt(p.coupling * p.delta) / 2.0  # g |beta|
+    # g |beta|, as two roots so that a huge coupling does not overflow the product
+    gb = math.sqrt(abs(p.coupling)) * math.sqrt(abs(p.delta)) / 2.0
     push = 2.0 * math.sqrt(2.0) * gb  # cavity amplitude -> probe momentum
     feed = math.sqrt(2.0) * gb  # relative coordinate -> cavity phase
     d = p.delta
@@ -230,25 +232,36 @@ def _settle(measure, step, span, rtol: float, atol: float = 0.0):
     return fine, diff, settled
 
 
+class _Covariance(NamedTuple):
+    """The covariance ``integrate_moments`` returns, as ``.matrix``.
+
+    Only bench/layers.py:178 still reads it through ``.matrix``; ROADMAP
+    item 8 switches that probe to the array and deletes this holder.
+    """
+
+    matrix: np.ndarray
+
+
 def integrate_moments(
     system: LinearSystem,
     mean0,
-    cov0: CovarianceMatrix,
+    cov0,
     force: float,
     t_final: float,
     step: float,
-) -> tuple[np.ndarray, CovarianceMatrix]:
+) -> tuple[np.ndarray, _Covariance]:
     """Propagate mean and covariance to ``t_final`` with fixed-step RK4.
 
-    ``mean0`` may be None (zero mean) or an array; the mean comes back as a
-    read-only array.  The drive is ``system.drive * force``; the actual step
-    divides t_final exactly.
+    ``mean0`` may be None (zero mean) or an array, and ``cov0`` is an array;
+    the mean and the covariance come back read-only.  The drive is
+    ``system.drive * force``; the actual step divides t_final exactly.
     """
     mean = np.zeros(system.dim) if mean0 is None else np.array(mean0, dtype=float)
     if mean.shape != (system.dim,):
         raise ValueError(f"mean0 shape {mean.shape} does not match dim {system.dim}")
-    if cov0.dim != system.dim:
-        raise ValueError(f"cov0 dim {cov0.dim} does not match system dim {system.dim}")
+    cov0 = np.asarray(cov0, dtype=float)
+    if cov0.shape != (system.dim, system.dim):
+        raise ValueError(f"cov0 shape {cov0.shape} does not match system dim {system.dim}")
     d = system.dim
     # overflow here is not an error condition: it is how divergence
     # presents, and the finite check below turns it into a typed error
@@ -256,34 +269,34 @@ def integrate_moments(
         x = propagator(system.augmented(force), t_final, step)
         prop = x[:d, :d]
         mean = prop @ mean + x[:d, d]
-        cov = prop @ cov0.matrix @ prop.T
+        cov = prop @ cov0 @ prop.T
         cov = 0.5 * (cov + cov.T)
     if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
         raise IntegrationDivergedError(
             f"integration diverged for {system.label or 'system'} at t={t_final}"
         )
-    mean.setflags(write=False)
-    return mean, CovarianceMatrix(cov)
+    return _read_only(mean), _Covariance(_read_only(cov))
 
 
 def full_model_deviation(p: ProbeParams, step: float | None = None) -> tuple[float, float]:
     """Relative probe-covariance deviation of the full cavity model.
 
     Propagates the six-dimensional model (cavity kept; delta defaults to
-    100 omega with the coupling's sign) from the thermal state to the
-    switch-off time and compares the probe block against the adiabatic
-    closed form.  The step guard starts at 1/300 of the detuning period, or
-    at ``step`` if that is finer, and halves until the h and h/2 deviations
-    agree to 1e-3 of the deviation, or to 1e-12; a diverged run counts as
-    unsettled.  Returns (the h/2 deviation, delta); a guard that cannot
-    settle within MAX_STEPS raises DomainError.
+    100 theta, the relative-mode frequency, with the coupling's sign, so
+    that the cavity stays fast against the probes at any ratio) from the
+    thermal state to the switch-off time and compares the probe block
+    against the adiabatic closed form.  The step guard starts at 1/300 of
+    the detuning period, or at ``step`` if that is finer, and halves until
+    the h and h/2 deviations agree to 1e-3 of the deviation, or to 1e-12; a
+    diverged run counts as unsettled.  Returns (the h/2 deviation, delta);
+    a guard that cannot settle within MAX_STEPS raises DomainError.
     """
-    if p.delta is None:
-        p = replace(p, delta=(100.0 if p.coupling >= 0 else -100.0) * p.omega)
     closed = prepare(p)
+    if p.delta is None:
+        p = replace(p, delta=(100.0 if p.coupling >= 0 else -100.0) * closed.mode_frequency)
     system = build_entangler_system(p, adiabatic=False)
     c0 = direct_sum(thermal_covariance(p.n_th), vacuum(1))
-    t_off, target = closed.switch_off_time, closed.covariance.matrix
+    t_off, target = closed.switch_off_time, closed.covariance
     scale = max(1.0, abs(target).max())
 
     def deviation(h) -> np.ndarray:
@@ -417,7 +430,7 @@ def _check_entangler(grid: VerifyGrid) -> list[CheckResult]:
         drift = build_entangler_system(p).drift
         theta = relative_mode_frequency(p)
         times = grid.transfer_times + ((math.pi / (2.0 * theta),) if grid.n_ths else ())
-        states = [thermal_covariance(n_th).matrix for n_th in grid.n_ths]
+        states = [thermal_covariance(n_th) for n_th in grid.n_ths]
 
         def measure(steps):
             xs = [propagator(drift, t, h) for t, h in zip(times, steps)]
@@ -427,7 +440,7 @@ def _check_entangler(grid: VerifyGrid) -> list[CheckResult]:
         step = (2.0 * math.pi / theta) / 2048.0
         value, diffs[i], _ = _settle(measure, step, times, ENTANGLER_TOLERANCE / 10.0)
         closed = [transfer_matrix(p, t) for t in grid.transfer_times] + [
-            entangled_covariance(ratio, n_th).matrix for n_th in grid.n_ths
+            entangled_covariance(ratio, n_th) for n_th in grid.n_ths
         ]
         errors[i] = _rel(value, np.reshape(closed, (-1, 4, 4)))
     return [
@@ -464,7 +477,7 @@ def _check_readout(
         phi = np.where([mode == "opt" for mode in grid.phi_modes], phi_opt(tau)[:, None], 0.0)
         rotations = np.reshape([mode_rotation(a) for a in phi.ravel()], phi.shape + (4, 4))
         states = np.reshape(
-            [entangled_covariance(r, n).matrix for r in grid.ratios for n in grid.n_ths],
+            [entangled_covariance(r, n) for r in grid.ratios for n in grid.n_ths],
             (len(grid.ratios), len(grid.n_ths), 4, 4),
         )
 

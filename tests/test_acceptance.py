@@ -64,8 +64,8 @@ def test_switch_off_covariance_entrywise():
             p = ProbeParams.from_squeeze_ratio(1.0, ratio, n_th=n_th)
             t_star = PI / (2.0 * relative_mode_frequency(p))
             m = transfer_matrix(p, t_star)
-            got = m @ thermal_covariance(n_th).matrix @ m.T
-            want = entangled_covariance(ratio, n_th).matrix
+            got = m @ thermal_covariance(n_th) @ m.T
+            want = entangled_covariance(ratio, n_th)
             worst = max(worst, float(np.max(np.abs(got - want))))
     check("switch-off-covariance", worst <= 1e-8, f"max_abs_err={worst:.3e}")
 

@@ -120,10 +120,10 @@ def test_transfer_at_switchoff_reproduces_entangled_covariance():
             p = ProbeParams.from_squeeze_ratio(1.0, ratio, n_th=n_th)
             theta = relative_mode_frequency(p)
             m = transfer_matrix(p, math.pi / (2.0 * theta))
-            got = m @ thermal_covariance(n_th).matrix @ m.T
+            got = m @ thermal_covariance(n_th) @ m.T
             want = entangled_covariance(ratio, n_th)
-            assert np.max(np.abs(got - want.matrix)) < 1e-12 * max(
-                1.0, np.max(np.abs(want.matrix))
+            assert np.max(np.abs(got - want)) < 1e-12 * max(
+                1.0, np.max(np.abs(want))
             )
 
 
@@ -144,13 +144,13 @@ def test_closed_forms_match_arbitrary_precision_expm(ratio):
         assert rel(transfer_matrix(p, t), mp_expm(drift, t)) <= bound, t
     # bound now belongs to the switch-off time, the last t above
     for n_th in (0.0, 20.0, 1e3):
-        c = mp_expm(drift, t_switch, thermal_covariance(n_th).matrix)
-        assert rel(entangled_covariance(ratio, n_th).matrix, c) <= bound, n_th
+        c = mp_expm(drift, t_switch, thermal_covariance(n_th))
+        assert rel(entangled_covariance(ratio, n_th), c) <= bound, n_th
 
 
 def test_thermal_covariance_values():
-    assert np.allclose(thermal_covariance(0.0).matrix, 0.5 * np.eye(4))
-    assert np.allclose(thermal_covariance(1000.0).matrix, 1000.5 * np.eye(4))
+    assert np.allclose(thermal_covariance(0.0), 0.5 * np.eye(4))
+    assert np.allclose(thermal_covariance(1000.0), 1000.5 * np.eye(4))
     with pytest.raises(ValueError):
         thermal_covariance(-1.0)
 
@@ -173,7 +173,7 @@ def test_occupation_from_temperature():
 
 
 def test_entangled_covariance_frozen_example():
-    c = entangled_covariance(2.0, 0.0).matrix
+    c = entangled_covariance(2.0, 0.0)
     want = np.array(
         [
             [0.3125, 0.0, 0.1875, 0.0],
@@ -192,8 +192,8 @@ def test_entangled_covariance_epr_variances():
         for n_th in (0.0, 20.0, 1000.0):
             c = entangled_covariance(ratio, n_th)
             heat = 1.0 + 2.0 * n_th
-            assert q_minus @ c.matrix @ q_minus == pytest.approx(heat / ratio**2, rel=1e-12)
-            assert p_plus @ c.matrix @ p_plus == pytest.approx(heat, rel=1e-12)
+            assert q_minus @ c @ q_minus == pytest.approx(heat / ratio**2, rel=1e-12)
+            assert p_plus @ c @ p_plus == pytest.approx(heat, rel=1e-12)
             assert validate(c).passed
 
 
@@ -202,8 +202,8 @@ def test_rotation_properties():
     assert np.allclose(mode_rotation(0.0), np.eye(4))
     assert np.allclose(r @ mode_rotation(-0.3), np.eye(4))
     c = entangled_covariance(2.0, 1.0)
-    assert np.allclose(rotate(rotate(c, 0.7), -0.7).matrix, c.matrix)
-    assert np.allclose(rotate(c, 2 * math.pi).matrix, c.matrix)
+    assert np.allclose(rotate(rotate(c, 0.7), -0.7), c)
+    assert np.allclose(rotate(c, 2 * math.pi), c)
     assert validate(rotate(c, 0.7)).passed
 
 
@@ -241,3 +241,5 @@ def test_prepare_pipeline():
     assert out.switch_off_time == pytest.approx(math.pi / 4.0)
     assert out.entangled
     assert validate(out.covariance).passed
+    # the array covariance stays out of the record's == and hash
+    assert out == prepare(p) and hash(out) == hash(prepare(p))

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import symplectic_form
-from twinprobe.gaussian import CovarianceMatrix, direct_sum, vacuum, validate
+from twinprobe.dynamics import (
+    ProbeParams,
+    entangled_covariance,
+    prepare,
+    rotate,
+    thermal_covariance,
+)
+from twinprobe.gaussian import direct_sum, vacuum, validate
+from twinprobe.oracle import build_entangler_system, integrate_moments
 
 
 def random_symplectic(rng, n_modes):
@@ -30,22 +38,19 @@ def random_symplectic(rng, n_modes):
 
 def test_vacuum_is_valid_and_half():
     v = vacuum(2)
-    assert v.dim == 4
-    assert v.n_modes == 2
-    assert np.allclose(np.diag(v.matrix), 0.5)
+    assert v.shape == (4, 4)
+    assert np.array_equal(v, 0.5 * np.eye(4))
     report = validate(v)
     assert report.passed
+    assert report.dim == 4
     assert report.min_eigenvalue == pytest.approx(0.5)
     assert report.uncertainty_products == (0.25, 0.25)
 
 
 def test_covariance_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        CovarianceMatrix(np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        CovarianceMatrix(np.zeros((2, 4)))
-    with pytest.raises(ValueError):
-        CovarianceMatrix(np.zeros((0, 0)))
+    for shape in ((3, 3), (2, 4), (0, 0)):
+        with pytest.raises(ValueError):
+            validate(np.zeros(shape))
     with pytest.raises(ValueError):
         vacuum(0)
 
@@ -53,29 +58,45 @@ def test_covariance_rejects_bad_shapes():
 def test_symmetrization_records_defect():
     m = 0.5 * np.eye(2)
     m[0, 1] = 1e-3
-    c = CovarianceMatrix(m)
-    assert c.symmetry_defect == pytest.approx(1e-3)
-    assert np.array_equal(c.matrix, c.matrix.T)
-    report = validate(c)
+    report = validate(m)
+    assert report.symmetry_defect == pytest.approx(1e-3)
     assert not report.passed
     assert any("symmetry" in f for f in report.failures)
 
 
 def test_matrix_is_write_protected():
-    c = vacuum(1)
-    with pytest.raises(ValueError):
-        c.matrix[0, 0] = 2.0
+    p = ProbeParams.from_squeeze_ratio(1.0, 2.0, n_th=1.0)
+    _, integrated = integrate_moments(
+        build_entangler_system(p), None, thermal_covariance(1.0), 0.0, 0.5, 0.01
+    )
+    for c in (
+        vacuum(1),
+        direct_sum(vacuum(1), vacuum(1)),
+        thermal_covariance(1.0),
+        entangled_covariance(2.0, 1.0),
+        rotate(entangled_covariance(2.0, 1.0), 0.3),
+        prepare(p).covariance,
+        integrated.matrix,
+    ):
+        with pytest.raises(ValueError):
+            c[0, 0] = 2.0
+
+
+def test_producers_are_exactly_symmetric():
+    a = entangled_covariance(3.0, 5.0)
+    for c in (thermal_covariance(7.0), a, direct_sum(a, rotate(a, 0.3))):
+        assert np.array_equal(c, c.T)
 
 
 def test_validate_flags_negative_eigenvalue():
-    report = validate(CovarianceMatrix(np.diag([1.0, -0.5])))
+    report = validate(np.diag([1.0, -0.5]))
     assert not report.passed
     assert any("eigenvalue" in f for f in report.failures)
 
 
 def test_validate_flags_uncertainty_violation():
     # positive matrix but q*p product below the 1/4 floor
-    report = validate(CovarianceMatrix(np.diag([0.4, 0.4])))
+    report = validate(np.diag([0.4, 0.4]))
     assert report.min_eigenvalue > 0
     assert not report.passed
     assert any("uncertainty" in f for f in report.failures)
@@ -85,19 +106,20 @@ def test_random_symplectic_states_stay_valid():
     rng = np.random.default_rng(7)
     j = symplectic_form(2)
     for _ in range(50):
-        base = CovarianceMatrix(np.diag(0.5 + rng.uniform(0.0, 3.0, size=4)))
+        base = np.diag(0.5 + rng.uniform(0.0, 3.0, size=4))
         m = random_symplectic(rng, 2)
         assert np.max(np.abs(m @ j @ m.T - j)) < 1e-12
-        c = CovarianceMatrix(m @ base.matrix @ m.T)
-        report = validate(c)
+        # the product's rounding asymmetry is within validate's tolerance
+        report = validate(m @ base @ m.T)
         assert report.passed, report.failures
 
 
 def test_direct_sum_blocks():
-    a = CovarianceMatrix(np.diag([1.0, 2.0]))
+    a = np.diag([1.0, 2.0])
     b = vacuum(1)
     c = direct_sum(a, b)
-    assert c.dim == 4
-    assert np.allclose(c.matrix[:2, :2], a.matrix)
-    assert np.allclose(c.matrix[2:, 2:], b.matrix)
-    assert np.all(c.matrix[:2, 2:] == 0.0)
+    assert c.shape == (4, 4)
+    assert np.array_equal(c[:2, :2], a)
+    assert np.array_equal(c[2:, 2:], b)
+    assert np.all(c[:2, 2:] == 0.0)
+    assert np.all(c[2:, :2] == 0.0)

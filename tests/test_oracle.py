@@ -17,7 +17,7 @@ from twinprobe.dynamics import (
     thermal_covariance,
     transfer_matrix,
 )
-from twinprobe.gaussian import CovarianceMatrix, direct_sum, vacuum
+from twinprobe.gaussian import direct_sum, vacuum
 from twinprobe.metrology import MeterParams, noise, phi_opt, signal_coeff
 from twinprobe.oracle import (
     IntegrationDivergedError,
@@ -89,7 +89,7 @@ def test_free_evolution_is_periodic():
     cov0 = thermal_covariance(3.0)
     mean, cov = integrate_moments(sys0, mean0, cov0, 0.0, 2 * PI, step=1e-3)
     assert np.max(np.abs(mean - mean0)) < 1e-8
-    assert np.max(np.abs(cov.matrix - cov0.matrix)) < 1e-8
+    assert np.max(np.abs(cov.matrix - cov0)) < 1e-8
 
 
 def test_rk4_is_fourth_order():
@@ -116,10 +116,10 @@ def test_moments_match_transfer_closed_form():
     m = transfer_matrix(p, t)
     for _ in range(5):
         mean0 = rng.normal(size=4)
-        c0 = CovarianceMatrix(np.diag(0.5 + rng.uniform(0.0, 2.0, size=4)))
+        c0 = np.diag(0.5 + rng.uniform(0.0, 2.0, size=4))
         mean, cov = integrate_moments(system, mean0, c0, 0.0, t, step=1e-4)
         assert np.max(np.abs(mean - m @ mean0)) < 1e-9
-        assert np.max(np.abs(cov.matrix - m @ c0.matrix @ m.T)) < 1e-9
+        assert np.max(np.abs(cov.matrix - m @ c0 @ m.T)) < 1e-9
 
 
 def test_measurement_moments_match_closed_forms():
@@ -170,7 +170,7 @@ def test_integrate_moments_argument_checks():
         integrate_moments(sys0, None, vacuum(3), 0.0, 1.0, 0.01)
     mean, cov = integrate_moments(sys0, None, vacuum(2), 0.0, 0.0, 0.01)
     assert np.array_equal(mean, np.zeros(4))
-    assert np.array_equal(cov.matrix, vacuum(2).matrix)
+    assert np.array_equal(cov.matrix, vacuum(2))
     mean0 = np.ones(4)
     mean, _ = integrate_moments(sys0, mean0, vacuum(2), 0.0, 1.0, 0.01)
     with pytest.raises(ValueError):
@@ -406,7 +406,7 @@ def test_oracle_matches_closed_forms_everywhere(ratio, n_th, kappa, tau):
 
     t_star = PI / (2.0 * theta)
     _, cov = integrate_moments(system, None, thermal_covariance(n_th), 0.0, t_star, step)
-    assert rel(cov.matrix, entangled_covariance(ratio, n_th).matrix) <= 1e-8
+    assert rel(cov.matrix, entangled_covariance(ratio, n_th)) <= 1e-8
 
     phi = phi_opt(tau)
     m = MeterParams(kappa=kappa, tau_scaled=tau, phi=phi)
