@@ -1,9 +1,10 @@
 """Command line front end.
 
-Every setting is declared once, as a field of RunConfig whose metadata
-holds its parser and help text.  The field name is the config key, the
-upper-cased name after ``TWINPROBE_`` the environment variable, and the
-name with dashes for underscores the ``--`` flag.
+Every setting is declared once, as a row of ``_SETTINGS`` holding its
+name, default, parser and help text; RunConfig is the named tuple of those
+names and defaults.  The name is the config key, the upper-cased name after
+``TWINPROBE_`` the environment variable, and the name with dashes for
+underscores the ``--`` flag.
 
 Configuration is layered: built-in defaults, then a flat ``key = value``
 config file (``--config`` flag or the TWINPROBE_CONFIG variable), then
@@ -15,11 +16,12 @@ Exit codes: 0 success, 2 configuration error, 3 physics domain error
 (unstable regime, vanishing signal, diverged integration), 4 closed-form
 verification failure.
 
-The module top imports only the standard library and ``_common``; each
-command imports the numerical layers it uses when it runs, so ``--help``,
-``dump-config`` and a rejected configuration never load numpy.  Unless
-numpy is loaded already, ``main`` sets OPENBLAS_NUM_THREADS to 1 where the
-environment does not set it.
+The module top imports only ``_common`` and standard library modules that
+argparse loads anyway; each command imports the numerical layers it uses
+when it runs, so ``--help``, ``dump-config`` and a rejected configuration
+load neither numpy nor ``dataclasses``.  Unless numpy is loaded already,
+``main`` sets OPENBLAS_NUM_THREADS to 1 where the environment does not set
+it.
 """
 from __future__ import annotations
 
@@ -27,14 +29,9 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
-from typing import TYPE_CHECKING
+from collections import namedtuple
 
 from ._common import SIGNAL_CONSISTENT, SIGNAL_VARIANTS, DomainError
-
-if TYPE_CHECKING:
-    from .dynamics import ProbeParams
-    from .sweep import SweepSpec
 
 __all__ = ["ConfigError", "RunConfig", "build_parser", "main"]
 
@@ -70,54 +67,47 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _setting(default, parse, help: str):
-    """A RunConfig field with the parser of its text form and its help line."""
-    return field(default=default, metadata={"parse": parse, "help": help})
+# Every setting, one row each: name, default, parser of its text form, help line.
+_SETTINGS = (
+    ("omega", 1.0, float, "mechanical frequency (sets the time unit)"),
+    ("coupling_chi", None, float, "composite coupling of the eliminated cavity"),
+    ("g_opt", None, float, "single-photon optomechanical coupling"),
+    ("beta_abs", None, float, "cavity amplitude magnitude"),
+    ("delta", None, float, "cavity detuning"),
+    ("r", None, float, "squeeze ratio of the entangler"),
+    ("temperature", None, float, "bath temperature (overrides --n-th)"),
+    ("hbar_over_kb", 1.0, float, "unit factor for the temperature conversion"),
+    ("n_th", 20.0, float, "thermal occupation of each probe"),
+    ("gamma_mech", 0.0, float, "mechanical damping rate"),
+    ("kappa", 1.0, float, "readout coupling g*gamma in units of omega"),
+    ("tau_scaled", math.pi / 2.0, float, "readout duration in units of 1/omega"),
+    ("phi", "opt", str, "interference phase in radians, or 'opt'"),
+    (
+        "signal_variant",
+        SIGNAL_CONSISTENT,
+        str,
+        "force transfer convention: consistent or printed",
+    ),
+    ("r_list", "1,2,10", str, "comma-separated squeeze ratios for sweeps"),
+    ("points", 512, int, "grid points per sweep"),
+    ("axis_lo", None, float, "sweep axis lower end"),
+    ("axis_hi", None, float, "sweep axis upper end"),
+    ("include_sql", True, _parse_bool, "emit the uncoupled ground-state reference column"),
+    ("out", None, str, "output CSV path"),
+    ("tolerance", 1e-6, float, "relative tolerance for the readout verification"),
+    ("include_printed_signal", False, _parse_bool, "also check the printed signal variant"),
+    ("full_model", False, _parse_bool, "propagate the full cavity model for comparison"),
+    ("jobs", 1, int, "processes formatting the sweep CSV (must be >= 1)"),
+    ("step", None, float, "integrator step override"),
+    ("gnuplot", None, str, "also write a gnuplot script to this path"),
+)
 
+RunConfig = namedtuple(
+    "RunConfig", [row[0] for row in _SETTINGS], defaults=[row[1] for row in _SETTINGS]
+)
+RunConfig.__doc__ = "Merged configuration seen by every subcommand, one field per setting."
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Merged configuration seen by every subcommand, one field per setting."""
-
-    omega: float = _setting(1.0, float, "mechanical frequency (sets the time unit)")
-    coupling_chi: float | None = _setting(
-        None, float, "composite coupling of the eliminated cavity"
-    )
-    g_opt: float | None = _setting(None, float, "single-photon optomechanical coupling")
-    beta_abs: float | None = _setting(None, float, "cavity amplitude magnitude")
-    delta: float | None = _setting(None, float, "cavity detuning")
-    r: float | None = _setting(None, float, "squeeze ratio of the entangler")
-    temperature: float | None = _setting(None, float, "bath temperature (overrides --n-th)")
-    hbar_over_kb: float = _setting(1.0, float, "unit factor for the temperature conversion")
-    n_th: float = _setting(20.0, float, "thermal occupation of each probe")
-    gamma_mech: float = _setting(0.0, float, "mechanical damping rate")
-    kappa: float = _setting(1.0, float, "readout coupling g*gamma in units of omega")
-    tau_scaled: float = _setting(math.pi / 2.0, float, "readout duration in units of 1/omega")
-    phi: str = _setting("opt", str, "interference phase in radians, or 'opt'")
-    signal_variant: str = _setting(
-        SIGNAL_CONSISTENT, str, "force transfer convention: consistent or printed"
-    )
-    r_list: str = _setting("1,2,10", str, "comma-separated squeeze ratios for sweeps")
-    points: int = _setting(512, int, "grid points per sweep")
-    axis_lo: float | None = _setting(None, float, "sweep axis lower end")
-    axis_hi: float | None = _setting(None, float, "sweep axis upper end")
-    include_sql: bool = _setting(
-        True, _parse_bool, "emit the uncoupled ground-state reference column"
-    )
-    out: str | None = _setting(None, str, "output CSV path")
-    tolerance: float = _setting(1e-6, float, "relative tolerance for the readout verification")
-    include_printed_signal: bool = _setting(
-        False, _parse_bool, "also check the printed signal variant"
-    )
-    full_model: bool = _setting(
-        False, _parse_bool, "propagate the full cavity model for comparison"
-    )
-    jobs: int = _setting(1, int, "processes formatting the sweep CSV (must be >= 1)")
-    step: float | None = _setting(None, float, "integrator step override")
-    gnuplot: str | None = _setting(None, str, "also write a gnuplot script to this path")
-
-
-_PARSERS = {f.name: f.metadata["parse"] for f in fields(RunConfig)}
+_PARSERS = {name: parse for name, _, parse, _ in _SETTINGS}
 
 
 def _convert(key: str, raw: str, source: str):
@@ -187,7 +177,7 @@ def build_config(args: argparse.Namespace, environ=None) -> RunConfig:
     or another output is refused before any command runs.
     """
     environ = os.environ if environ is None else environ
-    values = {f.name: f.default for f in fields(RunConfig)}
+    values = {name: default for name, default, _, _ in _SETTINGS}
     path = getattr(args, "config", None) or environ.get(ENV_PREFIX + "CONFIG")
     if path:
         for key, raw in _read_config_file(path).items():
@@ -215,6 +205,8 @@ def build_config(args: argparse.Namespace, environ=None) -> RunConfig:
             raise ConfigError(f"phi must be 'opt' or a finite number, got {cfg.phi!r}")
     if cfg.jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {cfg.jobs}")
+    if not cfg.tolerance > 0:
+        raise ConfigError(f"tolerance must be positive, got {cfg.tolerance}")
     if cfg.points > MAX_POINTS:
         raise ConfigError(f"points must be at most {MAX_POINTS}, got {cfg.points}")
     for key in ("r", "kappa"):
@@ -372,7 +364,8 @@ def cmd_entangle(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _run_sweep(cfg: RunConfig, base: SweepSpec, command: str) -> int:
+def _run_sweep(cfg: RunConfig, make_spec, command: str) -> int:
+    """Write the sweep that ``make_spec(**overrides)`` builds from the settings."""
     paths = _output_paths(command, cfg)
     from .sweep import curve_columns
 
@@ -389,7 +382,7 @@ def _run_sweep(cfg: RunConfig, base: SweepSpec, command: str) -> int:
         overrides["lo"] = cfg.axis_lo
     if cfg.axis_hi is not None:
         overrides["hi"] = cfg.axis_hi
-    spec = replace(base, **overrides)
+    spec = make_spec(**overrides)
     _write_csv(paths["out"], spec.axis, curve_columns(spec), cfg.jobs)
     print(f"wrote {spec.points * len(spec.ratios)} rows to {paths['out']}")
     if "gnuplot" in paths:
@@ -401,13 +394,13 @@ def _run_sweep(cfg: RunConfig, base: SweepSpec, command: str) -> int:
 def cmd_fig1(cfg: RunConfig) -> int:
     from .sweep import fig1_spec
 
-    return _run_sweep(cfg, fig1_spec(), "fig1")
+    return _run_sweep(cfg, fig1_spec, "fig1")
 
 
 def cmd_fig2(cfg: RunConfig) -> int:
     from .sweep import fig2_spec
 
-    return _run_sweep(cfg, fig2_spec(), "fig2")
+    return _run_sweep(cfg, fig2_spec, "fig2")
 
 
 def cmd_fmin(cfg: RunConfig) -> int:
@@ -481,8 +474,7 @@ def cmd_budget(cfg: RunConfig) -> int:
 
 
 def cmd_dump_config(cfg: RunConfig) -> int:
-    for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
+    for name, value in zip(cfg._fields, cfg):
         if value is None:
             continue
         if isinstance(value, bool):
@@ -491,21 +483,20 @@ def cmd_dump_config(cfg: RunConfig) -> int:
             text = repr(value)
         else:
             text = str(value)
-        print(f"{f.name} = {text}")
+        print(f"{name} = {text}")
     return EXIT_OK
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("configuration")
     group.add_argument("--config", help="flat key = value config file")
-    for f in fields(RunConfig):
-        parse = f.metadata["parse"]
+    for name, _, parse, help_text in _SETTINGS:
         if parse is _parse_bool:
             kwargs = {"action": argparse.BooleanOptionalAction}
         else:
             kwargs = {"type": None if parse is str else parse}
-        flag = "--" + f.name.replace("_", "-")
-        group.add_argument(flag, default=None, help=f.metadata["help"], **kwargs)
+        flag = "--" + name.replace("_", "-")
+        group.add_argument(flag, default=None, help=help_text, **kwargs)
 
 
 _COMMANDS = [

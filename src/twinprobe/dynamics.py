@@ -142,10 +142,15 @@ def occupation_from_temperature(
         raise ValueError(f"temperature must be nonnegative, got {temperature}")
     if omega <= 0:
         raise ValueError(f"omega must be positive, got {omega}")
+    if hbar_over_kb <= 0:
+        raise ValueError(f"hbar_over_kb must be positive, got {hbar_over_kb}")
     if temperature == 0:
         return 1.0
-    x = hbar_over_kb * omega / (2.0 * temperature)
-    return (1.0 / math.tanh(x) + 1.0) / 2.0
+    # halved last, so a huge temperature cannot overflow 2 T; x underflows to 0
+    # where k T / hbar omega is beyond the float range
+    x = hbar_over_kb * omega / temperature / 2.0
+    half_coth = 0.5 / math.tanh(x) if x else math.inf
+    return finite("thermal occupation", half_coth + 0.5)
 
 
 def entangled_covariance(ratio: float, n_th: float) -> np.ndarray:

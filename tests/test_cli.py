@@ -5,7 +5,6 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +124,7 @@ def test_entangle_stable_pair_does_not_underflow(launch_cli):
         ("--r", "2", "--full-model", "--delta", "1e13"),
         ("--g-opt", "0", "--beta-abs", "1", "--delta", "0", "--full-model"),
         ("--g-opt", "0", "--beta-abs", "0", "--delta", "0"),
+        ("--r", "2", "--temperature", "1", "--hbar-over-kb", "0"),
     ],
 )
 def test_refused_entangle_prints_nothing(launch_cli, args):
@@ -486,7 +486,7 @@ NON_DEFAULT = {
 
 
 def test_every_setting_reaches_config_file_env_and_flag(launch_cli, tmp_path):
-    assert list(NON_DEFAULT) == [f.name for f in fields(RunConfig)]
+    assert list(NON_DEFAULT) == list(RunConfig._fields)
     text = "".join(f"{key} = {value}\n" for key, value in NON_DEFAULT.items())
     cfg = tmp_path / "all.cfg"
     cfg.write_text(text)
@@ -561,6 +561,8 @@ def test_domain_error_exit_codes(launch_cli):
         (("entangle", "--coupling-chi", "5e199", "--n-th", "1e150"), "switch-off covariance"),
         (("budget", "--omega", "1e-320"), "rotation time"),
         (("budget", "--omega", "1e-300", "--tau-scaled", "1e10", "--phi", "0"), "force time"),
+        (("fmin", "--temperature", "1e300", "--omega", "1e-300"), "thermal occupation"),
+        (("budget", "--temperature", "0.5", "--hbar-over-kb", "1e-310"), "thermal occupation"),
     ],
 )
 def test_overflowing_quantity_is_domain_error(launch_cli, args, quantity):
@@ -598,6 +600,11 @@ def test_verify_passes_and_tight_tolerance_fails(launch_cli):
     code, out, _ = launch_cli("verify", "--tolerance", "1e-14")
     assert code == 4
     assert "VERIFY: FAIL" in out
+    # no check can pass a tolerance that is not positive
+    for tolerance in ("0", "-1"):
+        refused = launch_cli("verify", "--tolerance", tolerance)
+        want = f"config error: tolerance must be positive, got {float(tolerance)}\n"
+        assert refused == (2, "", want)
 
 
 def test_verify_printed_signal_is_informational_only(launch_cli):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mp_expm, symplectic_form
+from twinprobe._common import DomainError
 from twinprobe.dynamics import (
     ProbeParams,
     UnstableRegimeError,
@@ -170,6 +171,15 @@ def test_occupation_from_temperature():
     )
     with pytest.raises(ValueError):
         occupation_from_temperature(-1.0, 1.0)
+    # a non-positive hbar_over_kb is refused even at T = 0, as omega is
+    for temperature in (0.0, 1.0):
+        for hbar_over_kb in (0.0, -1.0):
+            with pytest.raises(ValueError, match="hbar_over_kb must be positive"):
+                occupation_from_temperature(temperature, 1.0, hbar_over_kb=hbar_over_kb)
+    # hbar omega / 2 k T underflowing to 0, or 1/tanh of it overflowing, is no finite occupation
+    for temperature, omega, hbar_over_kb in ((1e300, 1e-300, 1.0), (0.5, 1.0, 1e-310)):
+        with pytest.raises(DomainError, match="thermal occupation is beyond the float range"):
+            occupation_from_temperature(temperature, omega, hbar_over_kb=hbar_over_kb)
 
 
 def test_entangled_covariance_frozen_example():
