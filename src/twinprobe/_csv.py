@@ -22,16 +22,17 @@ def csv_chunks(axis: str, columns, jobs: int = 1):
 
     ``columns`` maps the quantities of ``sweep.fmin_columns`` to arrays of
     at most two dimensions that broadcast to (points, ratios); rows run in C
-    order.  Block i comes from process i % n, n = min(jobs, blocks): this
-    one, or a forked worker that formats its blocks while the earlier ones
-    are written.  The workers start after the header and are all reaped
-    before this generator ends or is closed.  Without ``os.fork``, or where
-    a fork fails or a worker stops early, this process formats the blocks
-    itself, so the bytes are the same for any ``jobs``.
+    order.  Block i comes from process i % n, n = min(jobs, blocks, CPUs
+    this process may use): this one, or a forked worker that formats its
+    blocks while the earlier ones are written.  The workers start after the
+    header and are all reaped before this generator ends or is closed.
+    Without ``os.fork``, or where a fork fails or a worker stops early, this
+    process formats the blocks itself, so the bytes are the same for any
+    ``jobs``.
     """
     count, block = _blocks(axis, columns)
     yield HEADER
-    n = min(jobs, count) if hasattr(os, "fork") else 1
+    n = min(jobs, count, _cpus()) if hasattr(os, "fork") else 1
     readers = [None]
     pids = []
     try:
@@ -61,6 +62,13 @@ def csv_chunks(axis: str, columns, jobs: int = 1):
                 reader.close()  # a worker still writing gets EPIPE and exits
         for pid in pids:
             os.waitpid(pid, 0)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _blocks(axis: str, columns):

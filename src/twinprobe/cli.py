@@ -42,9 +42,10 @@ EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
 
-# Largest grid a sweep accepts: its noise and f_min columns hold 16 bytes per
-# row, one row per point and squeeze ratio.
+# Largest grid a sweep accepts: points per ratio, and rows, one per point and
+# squeeze ratio.  The closed forms hold several float temporaries per row.
 MAX_POINTS = 10**6
+MAX_ROWS = 10**7
 # Largest magnitude of r, of an r_list entry and of kappa.  The closed forms
 # take ratio**2 and kappa**4, which then stay far inside the float range.
 MAX_SCALE = 1e50
@@ -213,7 +214,11 @@ def build_config(args: argparse.Namespace, environ=None) -> RunConfig:
         value = getattr(cfg, key)
         if value is not None and abs(value) > MAX_SCALE:
             raise ConfigError(f"{key} must be at most {MAX_SCALE:g} in magnitude, got {value!r}")
-    _parse_ratio_list(cfg)
+    ratios = len(_parse_ratio_list(cfg))
+    if cfg.points * ratios > MAX_ROWS:
+        raise ConfigError(
+            f"points * len(r_list) must be at most {MAX_ROWS}, got {cfg.points} * {ratios}"
+        )
     _check_outputs(_output_paths(getattr(args, "command", ""), cfg), path)
     return cfg
 

@@ -2,17 +2,18 @@
 
 Every stage of the pipeline is a linear system v' = A v + b f, so the
 mean obeys m' = A m + b f and the covariance C' = A C + C A^T.  This
-module builds the drift/drive pairs for the entangling stage (with and
-without adiabatic elimination of the cavity) and for the readout stage,
-integrates the moments with a fixed-step classical Runge-Kutta scheme,
-and checks the closed-form transfer matrix, switch-off covariance, and
-readout signal/noise against the integrated values, each check as arrays
-of per-case errors and step-halving differences.
+module builds the drifts, read-only arrays, of the entangling stage (with
+and without adiabatic elimination of the cavity) and of the readout stage,
+whose last coordinate is the constant force f, integrates the moments
+with a fixed-step classical Runge-Kutta scheme, and checks the closed-form
+transfer matrix, switch-off covariance, and readout signal/noise against
+the integrated values, each check as arrays of per-case errors and
+step-halving differences.
 
 One RK4 step of v' = A v is the matrix polynomial P(hA), so n steps to one
 end time are P(hA)^n, computed by repeated squaring (``propagator``).  The
-drive is an extra column of the drift, and the covariance is X C0 X^T for
-the propagator X (C. Van Loan, IEEE TAC 23:395, 1978).
+drive b is the column of the force coordinate, and the covariance is
+X C0 X^T for the propagator X (C. Van Loan, IEEE TAC 23:395, 1978).
 
 The integration route shares no trigonometry with the closed forms.  One
 step-halving guard (``_settle``) picks every step: each propagator starts
@@ -45,7 +46,6 @@ __all__ = [
     "MAX_STEPS",
     "ENTANGLER_TOLERANCE",
     "IntegrationDivergedError",
-    "LinearSystem",
     "VerifyGrid",
     "CheckResult",
     "VerificationReport",
@@ -62,41 +62,15 @@ class IntegrationDivergedError(DomainError, RuntimeError):
     """The fixed-step integration produced non-finite moments."""
 
 
-@dataclass(frozen=True)
-class LinearSystem:
-    """Constant-coefficient quadrature dynamics v' = drift @ v + drive * f."""
-
-    drift: np.ndarray
-    drive: np.ndarray
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        drift = np.array(self.drift, dtype=float)
-        drive = np.array(self.drive, dtype=float)
-        if drift.ndim != 2 or drift.shape[0] != drift.shape[1]:
-            raise ValueError(f"drift must be square, got shape {drift.shape}")
-        if drive.shape != (drift.shape[0],):
-            raise ValueError(
-                f"drive shape {drive.shape} does not match drift dim {drift.shape[0]}"
-            )
-        if not (np.isfinite(drift).all() and np.isfinite(drive).all()):
-            raise ValueError("drift and drive must be finite")
-        drift.setflags(write=False)
-        drive.setflags(write=False)
-        object.__setattr__(self, "drift", drift)
-        object.__setattr__(self, "drive", drive)
-
-    @property
-    def dim(self) -> int:
-        return self.drift.shape[0]
-
-    def augmented(self, force: float) -> np.ndarray:
-        """The drift with ``drive * force`` as an extra column: v' = A v + b f, f' = 0."""
-        column = (self.drive * force)[:, None]
-        return np.block([[self.drift, column], [np.zeros((1, self.dim + 1))]])
+def _drift(a) -> np.ndarray:
+    """``a`` as a read-only float array, refused unless every entry is finite."""
+    a = np.array(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError("drift must be finite")
+    return _read_only(a)
 
 
-def build_entangler_system(p: ProbeParams, adiabatic: bool = True) -> LinearSystem:
+def build_entangler_system(p: ProbeParams, adiabatic: bool = True) -> np.ndarray:
     """Drift of the entangling stage, ordering (q1, p1, q2, p2[, x_c, y_c]).
 
     With ``adiabatic=True`` the cavity is eliminated and the coupling
@@ -107,7 +81,7 @@ def build_entangler_system(p: ProbeParams, adiabatic: bool = True) -> LinearSyst
     w = p.omega
     if adiabatic:
         chi = p.coupling
-        a = np.array(
+        return _drift(
             [
                 [0.0, w, 0.0, 0.0],
                 [-(w + chi), 0.0, chi, 0.0],
@@ -115,7 +89,6 @@ def build_entangler_system(p: ProbeParams, adiabatic: bool = True) -> LinearSyst
                 [chi, 0.0, -(w + chi), 0.0],
             ]
         )
-        return LinearSystem(a, np.zeros(4), label="entangler-adiabatic")
     if p.delta is None:
         raise ValueError("full entangler model requires nonzero delta")
     # g |beta|, as two roots so that a huge coupling does not overflow the product
@@ -123,7 +96,7 @@ def build_entangler_system(p: ProbeParams, adiabatic: bool = True) -> LinearSyst
     push = 2.0 * math.sqrt(2.0) * gb  # cavity amplitude -> probe momentum
     feed = math.sqrt(2.0) * gb  # relative coordinate -> cavity phase
     d = p.delta
-    a = np.array(
+    return _drift(
         [
             [0.0, w, 0.0, 0.0, 0.0, 0.0],
             [-w, 0.0, 0.0, 0.0, -push, 0.0],
@@ -133,28 +106,27 @@ def build_entangler_system(p: ProbeParams, adiabatic: bool = True) -> LinearSyst
             [-feed, 0.0, feed, 0.0, d, 0.0],
         ]
     )
-    return LinearSystem(a, np.zeros(6), label="entangler-full")
 
 
-def build_measurement_system(kappa: float) -> LinearSystem:
-    """Drift and drive of the readout stage, ordering (q1,p1,q2,p2,X1,Y1,X2,Y2).
+def build_measurement_system(kappa: float) -> np.ndarray:
+    """Drift of the readout stage, ordering (q1,p1,q2,p2,X1,Y1,X2,Y2,f).
 
     Time is in units of 1/omega.  Each probe position feeds its meter phase
     quadrature Y_j at rate kappa (opposite signs for the two probes) while
     the static meter amplitude X_j pushes back on the probe momentum at rate
-    2*kappa.  A unit force enters the two momenta with weight +/- sqrt(2),
-    so that the summed meter phase accumulates it.
+    2*kappa.  The force f is the last coordinate and constant (f' = 0); it
+    enters the two momenta with weight +/- sqrt(2), so that the summed meter
+    phase accumulates it.
     """
-    a = np.zeros((8, 8))
+    a = np.zeros((9, 9))
     for qi, pi, xi, yi, sign in [(0, 1, 4, 5, +1.0), (2, 3, 6, 7, -1.0)]:
         a[qi, pi] = 1.0
         a[pi, qi] = -1.0
         a[pi, xi] = sign * 2.0 * kappa
         a[yi, qi] = sign * kappa
-    b = np.zeros(8)
-    b[1] = math.sqrt(2.0)
-    b[3] = -math.sqrt(2.0)
-    return LinearSystem(a, b, label="measurement")
+    a[1, 8] = math.sqrt(2.0)
+    a[3, 8] = -math.sqrt(2.0)
+    return _drift(a)
 
 
 MAX_STEPS = 2**40  # per propagator: a finer step is an input error, not hours of work
@@ -243,7 +215,7 @@ class _Covariance(NamedTuple):
 
 
 def integrate_moments(
-    system: LinearSystem,
+    a,
     mean0,
     cov0,
     force: float,
@@ -252,29 +224,31 @@ def integrate_moments(
 ) -> tuple[np.ndarray, _Covariance]:
     """Propagate mean and covariance to ``t_final`` with fixed-step RK4.
 
-    ``mean0`` may be None (zero mean) or an array, and ``cov0`` is an array;
-    the mean and the covariance come back read-only.  The drive is
-    ``system.drive * force``; the actual step divides t_final exactly.
+    ``a`` is the drift of the d moments of ``cov0``, or of those and the
+    force as a last coordinate held at ``force``.  ``mean0`` may be None
+    (zero mean) or an array of the d moments; the mean and the covariance
+    come back read-only.  The actual step divides t_final exactly.
     """
-    mean = np.zeros(system.dim) if mean0 is None else np.array(mean0, dtype=float)
-    if mean.shape != (system.dim,):
-        raise ValueError(f"mean0 shape {mean.shape} does not match dim {system.dim}")
     cov0 = np.asarray(cov0, dtype=float)
-    if cov0.shape != (system.dim, system.dim):
-        raise ValueError(f"cov0 shape {cov0.shape} does not match system dim {system.dim}")
-    d = system.dim
+    d = len(cov0)
+    if cov0.shape != (d, d):
+        raise ValueError(f"cov0 must be square, got shape {cov0.shape}")
+    a = np.asarray(a, dtype=float)
+    if a.shape not in ((d, d), (d + 1, d + 1)):
+        raise ValueError(f"drift shape {a.shape} fits neither cov0 dim {d} nor it and a force")
+    mean = np.zeros(d) if mean0 is None else np.array(mean0, dtype=float)
+    if mean.shape != (d,):
+        raise ValueError(f"mean0 shape {mean.shape} does not match dim {d}")
     # overflow here is not an error condition: it is how divergence
     # presents, and the finite check below turns it into a typed error
     with np.errstate(over="ignore", invalid="ignore"):
-        x = propagator(system.augmented(force), t_final, step)
+        x = propagator(np.pad(a, (0, d + 1 - len(a))), t_final, step)
         prop = x[:d, :d]
-        mean = prop @ mean + x[:d, d]
+        mean = prop @ mean + x[:d, d] * force
         cov = prop @ cov0 @ prop.T
         cov = 0.5 * (cov + cov.T)
     if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-        raise IntegrationDivergedError(
-            f"integration diverged for {system.label or 'system'} at t={t_final}"
-        )
+        raise IntegrationDivergedError(f"integration diverged at t={t_final}")
     return _read_only(mean), _Covariance(_read_only(cov))
 
 
@@ -348,7 +322,6 @@ class CheckResult:
     passed: bool
     informational: bool = False
     failures: tuple[str, ...] = ()
-    samples: tuple[tuple[str, float], ...] = ()
     # largest step-halving (h vs h/2) difference; fails above tolerance/10
     guard_margin: float = 0.0
 
@@ -408,7 +381,6 @@ def _result(
         passed=not failures,
         informational=informational,
         failures=tuple(failures),
-        samples=tuple(zip(cases, errors[:, 0].tolist())) if informational else (),
         guard_margin=float(np.max(diffs, initial=0.0)),
     )
 
@@ -427,7 +399,7 @@ def _check_entangler(grid: VerifyGrid) -> list[CheckResult]:
     diffs, errors = np.zeros((2, len(grid.ratios), n_t + len(grid.n_ths)))
     for i, ratio in enumerate(grid.ratios if t_cases or c_cases else ()):
         p = ProbeParams.from_squeeze_ratio(1.0, ratio)
-        drift = build_entangler_system(p).drift
+        drift = build_entangler_system(p)
         theta = relative_mode_frequency(p)
         times = grid.transfer_times + ((math.pi / (2.0 * theta),) if grid.n_ths else ())
         states = [thermal_covariance(n_th) for n_th in grid.n_ths]
@@ -471,7 +443,7 @@ def _check_readout(
     if cases:
         shape = (len(grid.kappas), len(grid.taus))
         kappa, tau = np.array(grid.kappas)[:, None], np.array(grid.taus)
-        drifts = [build_measurement_system(k).augmented(1.0) for k in grid.kappas]
+        drifts = [build_measurement_system(k) for k in grid.kappas]
         # axes (kappa, tau, ratio, n_th, phi mode); the probes start in the
         # rotated entangled state and the meters in vacuum
         phi = np.where([mode == "opt" for mode in grid.phi_modes], phi_opt(tau)[:, None], 0.0)

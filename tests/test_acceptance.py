@@ -23,6 +23,7 @@ from twinprobe.dynamics import (
 from twinprobe.gaussian import direct_sum, vacuum
 from twinprobe.metrology import MeterParams, f_min, noise, phi_opt
 from twinprobe.oracle import (
+    VerifyGrid,
     build_measurement_system,
     full_model_deviation,
     integrate_moments,
@@ -233,7 +234,8 @@ def test_printed_variant_documented(launch_cli):
     report = verify_closed_forms(include_printed_signal=True)
     printed = next(c for c in report.checks if c.name == "readout-signal-printed")
     consistent = next(c for c in report.checks if c.name == "readout-moments")
-    sample = dict(printed.samples)["kappa=1 tau_scaled=1.5708"]
+    quarter = VerifyGrid(kappas=(1.0,), taus=(PI / 2,))
+    sample = verify_closed_forms(quarter, include_printed_signal=True).checks[-1].max_rel_error
     target = 3.50387678776821732
     library_ok = (
         report.passed

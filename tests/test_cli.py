@@ -1,6 +1,7 @@
 import importlib
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -294,24 +295,38 @@ def test_fig2_is_log_spaced(launch_cli, tmp_path):
     assert axis[0] == pytest.approx(0.05) and axis[-1] == pytest.approx(5.0)
 
 
-def test_fig1_gnuplot_script(launch_cli, tmp_path):
+@pytest.mark.parametrize("sql", ["--include-sql", "--no-include-sql"])
+@pytest.mark.parametrize("fig", ["fig1", "fig2"])
+def test_fig1_gnuplot_script(launch_cli, tmp_path, fig, sql):
     out = tmp_path / "it's curve.csv"
     script = tmp_path / "curve.gp"
     proc = launch_cli(
-        "fig1", "--points", "4", "--r-list", "1.2345678,2", "--out", str(out),
-        "--gnuplot", str(script),
+        fig, "--points", "4", "--r-list", "1.2345678,2", "--out", str(out),
+        "--gnuplot", str(script), sql,
     )
     assert proc.returncode == 0
-    text = script.read_text()
+    head, tail = script.read_text().split("plot \\\n", 1)
+    axis = "kappa" if fig == "fig2" else "tau_scaled"
+    assert f"set xlabel '{axis}'" in head.splitlines()
+    assert ("set logscale x" in head.splitlines()) == (fig == "fig2")
     quoted = "'" + str(out).replace("'", "''") + "'"
-    plots = [l.strip(" ,\\") for l in text.split("plot \\\n", 1)[1].splitlines()]
-    assert len(plots) == 3 and all(l.startswith(quoted + " using 1:") for l in plots)
+    plots = [l.strip(" ,\\") for l in tail.splitlines()]
+    assert all(l.startswith(quoted + " using 1:") for l in plots)
+    pattern = r" using 1:\(\$(\d+)==([^?]+)\?\$(\d+):1/0\) with lines (.*)"
+    curves = [re.fullmatch(pattern, l[len(quoted):]) for l in plots]
+    # the columns are those of r, f_min and f_sql in the header this run wrote
+    lines = out.read_text().splitlines()
+    column = {name: str(i + 1) for i, name in enumerate(lines[0].split(","))}
+    r, f_min, f_sql = column["r"], column["f_min"], column["f_sql"]
+    want = [
+        (r, "1.2345678", f_min, "title 'r=1.2345678'"),
+        (r, "2", f_min, "title 'r=2'"),
+    ]
+    if sql == "--include-sql":  # the SQL curve is read off the first ratio's rows
+        want.append((r, "1.2345678", f_sql, "dashtype 2 title 'SQL'"))
+    assert [c.groups() if c else None for c in curves] == want
     # every filter literal is the r text of some CSV row, so no curve comes out empty
-    csv_ratios = {line.split(",")[1] for line in out.read_text().splitlines()[1:]}
-    literals = [l.split("$2==", 1)[1].split("?", 1)[0] for l in plots]
-    assert literals == ["1.2345678", "2", "1.2345678"]
-    assert set(literals) <= csv_ratios
-    assert "title 'r=1.2345678'" in plots[0]
+    assert {"1.2345678", "2"} <= {line.split(",")[1] for line in lines[1:]}
 
 
 @pytest.mark.parametrize(
@@ -357,7 +372,8 @@ def test_gnuplot_onto_the_csv_is_config_error(launch_cli, tmp_path, args):
         (("fig1", "--points", "3000", "--jobs", "2", "--out", "{bad}/x.csv"), "out"),
     ],
 )
-def test_unwritable_output_is_config_error(launch_cli, tmp_path, args, key):
+def test_unwritable_output_is_config_error(launch_cli, monkeypatch, tmp_path, args, key):
+    monkeypatch.setattr(_csv, "_cpus", lambda: 8)  # --jobs 2 forks on any host
     bad = tmp_path / "no" / "such" / "dir"
     proc = launch_cli(*(a.format(bad=bad, tmp=tmp_path) for a in args))
     assert proc.returncode == 2
@@ -381,7 +397,9 @@ def test_csv_determinism(launch_cli, monkeypatch, tmp_path):
         return out.read_bytes()
 
     # 5000 points and three ratios make four blocks: --jobs 2 gives the worker
-    # two of them, and --jobs 7 exceeds the block count
+    # two of them, and --jobs 7 exceeds the block count; the CPU count is
+    # pinned above 7, so these fork on any host
+    monkeypatch.setattr(_csv, "_cpus", lambda: 8)
     for fig in ("fig1", "fig2"):
         for extra in ((), ("--no-include-sql",), ("--signal-variant", "printed")):
             blobs = {csv(fig, "--jobs", jobs, *extra) for jobs in ("1", "2", "3", "7")}
@@ -398,6 +416,10 @@ def test_csv_determinism(launch_cli, monkeypatch, tmp_path):
 
     monkeypatch.setattr(os, "fork", failed_fork)
     assert csv("fig1", "--jobs", "3") == want
+    # with one CPU, --jobs 4 forks no worker
+    monkeypatch.setattr(_csv, "_cpus", lambda: 1)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked a worker with one CPU"))
+    assert csv("fig1", "--jobs", "4") == want
 
 
 def test_config_file_env_flag_precedence(launch_cli, tmp_path):
@@ -759,6 +781,10 @@ def test_points_cap_is_config_error(launch_cli, tmp_path, args):
 def test_points_cap_accepts_the_cap(launch_cli):
     code, out, _ = launch_cli("dump-config", "--points", "1000000")
     assert code == 0 and "points = 1000000" in out
+    # ten ratios at the points cap are the largest accepted row count
+    ratios = ",".join(map(str, range(1, 11)))
+    code, out, _ = launch_cli("dump-config", "--points", "1000000", "--r-list", ratios)
+    assert code == 0 and f"r_list = {ratios}" in out
 
 
 @pytest.mark.parametrize(
@@ -770,6 +796,7 @@ def test_points_cap_accepts_the_cap(launch_cli):
         (("optimize-kappa", "--r", "1e200"), "r"),
         (("fig1", "--points", "4", "--r-list", "1,1e200"), "r_list"),
         (("fig2", "--points", "4", "--kappa", "1e200"), "kappa"),
+        (("fig1", "--points", "1000000", "--r-list", ",".join(map(str, range(1, 12)))), "points"),
     ],
 )
 def test_overflowing_setting_is_config_error(launch_cli, tmp_path, args, key):

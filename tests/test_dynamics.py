@@ -135,7 +135,7 @@ def test_closed_forms_match_arbitrary_precision_expm(ratio):
     p = ProbeParams.from_squeeze_ratio(1.0, ratio)
     theta = relative_mode_frequency(p)
     t_switch = prepare(p).switch_off_time
-    drift = build_entangler_system(p).drift
+    drift = build_entangler_system(p)
 
     def rel(got, want):
         return np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))

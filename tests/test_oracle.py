@@ -21,7 +21,6 @@ from twinprobe.gaussian import direct_sum, vacuum
 from twinprobe.metrology import MeterParams, noise, phi_opt, signal_coeff
 from twinprobe.oracle import (
     IntegrationDivergedError,
-    LinearSystem,
     VerifyGrid,
     build_entangler_system,
     build_measurement_system,
@@ -43,28 +42,37 @@ SMALL_GRID = VerifyGrid(
 )
 
 
-def test_linear_system_validation():
-    with pytest.raises(ValueError):
-        LinearSystem(np.zeros((2, 3)), np.zeros(2))
-    with pytest.raises(ValueError):
-        LinearSystem(np.zeros((2, 2)), np.zeros(3))
-    bad = np.zeros((2, 2))
-    bad[0, 0] = math.nan
-    with pytest.raises(ValueError):
-        LinearSystem(bad, np.zeros(2))
+def test_drift_validation():
+    # a drift must match cov0, or cov0 and one force coordinate
+    for drift, cov0 in ((np.zeros((2, 3)), vacuum(1)), (np.zeros((4, 4)), vacuum(1))):
+        with pytest.raises(ValueError, match="drift shape"):
+            integrate_moments(drift, None, cov0, 0.0, 1.0, 0.01)
+    with pytest.raises(ValueError, match="finite"):
+        build_entangler_system(ProbeParams(omega=1e308, coupling=1e308))  # omega + chi overflows
+    p = ProbeParams(omega=1.0, coupling=1.5, delta=100.0)
+    for drift in (
+        build_entangler_system(p),
+        build_entangler_system(p, adiabatic=False),
+        build_measurement_system(1.3),
+    ):
+        assert drift.dtype == float and not drift.flags.writeable
 
 
 def test_adiabatic_drift_eigenfrequencies():
     # coupling 1.5 splits the modes into frequencies 1 (common) and 2 (relative)
     p = ProbeParams(omega=1.0, coupling=1.5)
-    eigs = np.linalg.eigvals(build_entangler_system(p).drift)
+    eigs = np.linalg.eigvals(build_entangler_system(p))
     assert np.max(np.abs(eigs.real)) < 1e-12
     assert sorted(np.round(eigs.imag, 9)) == [-2.0, -1.0, 1.0, 2.0]
 
 
-def hamiltonian_defect(system):
-    """Asymmetry of J^T A: zero iff the drift A is J H with H symmetric (a Hamiltonian flow)."""
-    h = symplectic_form(system.dim // 2).T @ system.drift
+def hamiltonian_defect(a):
+    """Asymmetry of J^T A: zero iff the drift A is J H with H symmetric (a Hamiltonian flow).
+
+    A readout drift's last coordinate, the force, is left out.
+    """
+    n = len(a) // 2
+    h = symplectic_form(n).T @ a[: 2 * n, : 2 * n]
     return float(np.max(np.abs(h - h.T)))
 
 
@@ -123,22 +131,27 @@ def test_moments_match_transfer_closed_form():
 
 
 def test_measurement_moments_match_closed_forms():
+    # the force is the drift's last coordinate: the Y1 + Y2 mean is linear in
+    # it, and the covariance does not see it
     kappa, tau, ratio, n_th = 1.0, PI / 2, 2.0, 20.0
     phi = phi_opt(tau)
     m = MeterParams(kappa=kappa, tau_scaled=tau, phi=phi)
-    system = build_measurement_system(kappa)
+    a = build_measurement_system(kappa)
+    assert a.shape == (9, 9)
     c0 = direct_sum(rotate(entangled_covariance(ratio, n_th), phi), vacuum(2))
-    mean, cov = integrate_moments(system, None, c0, 1.0, tau, step=1e-4)
     w = np.zeros(8)
     w[5] = w[7] = 1.0
-    assert w @ mean == pytest.approx(signal_coeff(m), rel=1e-9)
-    assert w @ cov.matrix @ w == pytest.approx(noise(m, ratio, n_th), rel=1e-9)
+    _, cov_0 = integrate_moments(a, None, c0, 0.0, tau, step=1e-4)
+    assert w @ cov_0.matrix @ w == pytest.approx(noise(m, ratio, n_th), rel=1e-9)
+    for force in (0.0, 1.0, -2.5):
+        mean, cov = integrate_moments(a, None, c0, force, tau, step=1e-4)
+        assert w @ mean == pytest.approx(force * signal_coeff(m), rel=1e-9, abs=0.0)
+        assert np.array_equal(cov.matrix, cov_0.matrix)
 
 
 def test_integration_divergence_detected():
-    runaway = LinearSystem(5.0 * np.eye(2), np.zeros(2), label="runaway")
     with pytest.raises(IntegrationDivergedError):
-        integrate_moments(runaway, np.ones(2), vacuum(1), 0.0, 200.0, step=0.01)
+        integrate_moments(5.0 * np.eye(2), np.ones(2), vacuum(1), 0.0, 200.0, step=0.01)
 
 
 def test_full_model_guard_halves_past_a_diverged_step(monkeypatch):
@@ -146,11 +159,11 @@ def test_full_model_guard_halves_past_a_diverged_step(monkeypatch):
     settled, _ = full_model_deviation(p)
     real, steps = oracle.integrate_moments, []
 
-    def diverge_at_first_step(system, mean0, cov0, force, t_final, step):
+    def diverge_at_first_step(a, mean0, cov0, force, t_final, step):
         steps.append(step)
         if len(steps) == 1:
             raise IntegrationDivergedError("diverged")
-        return real(system, mean0, cov0, force, t_final, step)
+        return real(a, mean0, cov0, force, t_final, step)
 
     monkeypatch.setattr(oracle, "integrate_moments", diverge_at_first_step)
     deviation, _ = full_model_deviation(p)
@@ -207,10 +220,11 @@ def test_verify_printed_signal_is_informational():
     assert printed.informational
     assert not printed.passed  # the printed convention disagrees mid-period
     assert report.passed  # without affecting the overall verdict
-    errs = dict(printed.samples)
-    assert errs["kappa=1 tau_scaled=1.5708"] == pytest.approx(
-        3.50387678776821732, rel=1e-6
-    )
+    quarter = verify_closed_forms(
+        VerifyGrid(kappas=(1.0,), taus=(PI / 2,)), include_printed_signal=True
+    ).checks[-1]
+    assert quarter.worst_case == "kappa=1 tau_scaled=1.5708"
+    assert quarter.max_rel_error == pytest.approx(3.50387678776821732, rel=1e-6)
 
 
 def test_verify_unattainable_tolerance_fails():
@@ -302,9 +316,9 @@ def rk4_steps(a, n, h):
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1000])
 def test_propagator_matches_stepwise_rk4(n, drive):
     rng = np.random.default_rng(1000 * n + drive)
-    drift = rng.normal(size=(4, 4))
-    system = LinearSystem(drift, rng.normal(size=4) if drive else np.zeros(4))
-    a = system.augmented(1.0) if drive else system.drift
+    a = rng.normal(size=(4, 4))
+    if drive:  # the drive as the column of a constant last coordinate
+        a = np.block([[a, rng.normal(size=(4, 1))], [np.zeros((1, 5))]])
     t = 1.3
     # a step a hair above t/n keeps ceil(t/step) at exactly n
     x = propagator(a, t, (t / n) * (1.0 + 1e-12))
@@ -314,11 +328,11 @@ def test_propagator_matches_stepwise_rk4(n, drive):
 
 RATIO_1E3 = ProbeParams.from_squeeze_ratio(1.0, 1e3)
 ENTANGLER_1E3 = (
-    build_entangler_system(RATIO_1E3).drift,
+    build_entangler_system(RATIO_1E3),
     (2.0 * PI / relative_mode_frequency(RATIO_1E3)) / 2048.0,
     oracle.ENTANGLER_TOLERANCE / 10.0,
 )
-READOUT_KAPPA_5 = (build_measurement_system(5.0).augmented(1.0), PI / 2048.0, 1e-7)
+READOUT_KAPPA_5 = (build_measurement_system(5.0), PI / 2048.0, 1e-7)
 
 
 # verify's corners, each with its check's starting step and guard: the
@@ -349,7 +363,7 @@ def test_step_must_be_finite_positive_and_bounded(step):
     with pytest.raises(ValueError, match="step"):
         integrate_moments(sys0, None, vacuum(2), 0.0, 1.0, step=step)
     with pytest.raises(ValueError, match="step"):
-        propagator(sys0.drift, 1.0, step)
+        propagator(sys0, 1.0, step)
 
 
 def test_guard_margin_recorded_per_check():
@@ -374,7 +388,7 @@ def test_readout_guard_sees_the_signal_step_error(taus):
     readout = verify_closed_forms(grid).checks[2]
     worst = 0.0
     for kappa in grid.kappas:
-        a = build_measurement_system(kappa).augmented(1.0)
+        a = build_measurement_system(kappa)
         for tau in taus:
             step = min(PI / 2048.0, tau / 8.0)
             s_h, s_fine = (propagator(a, tau, h) for h in (step, step / 2.0))
