@@ -208,6 +208,8 @@ def build_config(args: argparse.Namespace, environ=None) -> RunConfig:
         raise ConfigError(f"jobs must be at least 1, got {cfg.jobs}")
     if not cfg.tolerance > 0:
         raise ConfigError(f"tolerance must be positive, got {cfg.tolerance}")
+    if cfg.points < 2:
+        raise ConfigError(f"points must be at least 2, got {cfg.points}")
     if cfg.points > MAX_POINTS:
         raise ConfigError(f"points must be at most {MAX_POINTS}, got {cfg.points}")
     for key in ("r", "kappa"):
@@ -516,19 +518,23 @@ _COMMANDS = [
 ]
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+def build_parser(command: str | None = None, alone: bool = False) -> argparse.ArgumentParser:
     """The command line parser.
 
-    Every subcommand is listed, so the top-level help and the invalid-choice
-    message name all of them; only ``command`` gets the configuration flags,
-    or every subcommand when ``command`` is None.
+    Only ``command`` gets the configuration flags, or every subcommand when
+    ``command`` is None.  With ``alone``, a ``command`` that names a
+    subcommand is the only one registered: the caller has seen it as the
+    first word, so no text that lists the subcommands can be printed.
+    Otherwise every subcommand is registered, so that the top-level help
+    and the invalid-choice message name all of them.
     """
     parser = argparse.ArgumentParser(
         prog="twinprobe",
         description="Force sensing with a pair of entangled mechanical probes.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, fn, help_text in _COMMANDS:
+    chosen = [row for row in _COMMANDS if alone and row[0] == command]
+    for name, fn, help_text in chosen or _COMMANDS:
         p = sub.add_parser(name, help=help_text)
         if command is None or name == command:
             _add_config_flags(p)
@@ -545,7 +551,7 @@ def main(argv=None) -> int:
     # The top-level parser takes no option with a value, so the first word
     # that is not an option names the subcommand.
     command = next((word for word in argv if not word.startswith("-")), "")
-    args = build_parser(command).parse_args(argv)
+    args = build_parser(command, alone=argv[:1] == [command]).parse_args(argv)
     try:
         cfg = build_config(args)
         return args.func(cfg)

@@ -11,21 +11,26 @@ the integrated values, each check as arrays of per-case errors and
 step-halving differences.
 
 One RK4 step of v' = A v is the matrix polynomial P(hA), so n steps to one
-end time are P(hA)^n, computed by repeated squaring (``propagator``).  The
-drive b is the column of the force coordinate, and the covariance is
-X C0 X^T for the propagator X (C. Van Loan, IEEE TAC 23:395, 1978).
+end time are P(hA)^n, computed by repeated squaring (``propagator``), for
+one drift or for a stack of cases in one loop.  The drive b is the column
+of the force coordinate, and the covariance is X C0 X^T for the propagator
+X (C. Van Loan, IEEE TAC 23:395, 1978).
 
 The integration route shares no trigonometry with the closed forms.  One
 step-halving guard (``_settle``) picks every step: each propagator starts
 at the caller's step or 1/8 of its end time if that is finer, and the step
 halves until the results at h and h/2 agree (Hairer, Norsett and Wanner,
 Solving Ordinary Differential Equations I, section II.4).
+
+Every command that loads this module pays for its import, so the records
+are named tuples, which cost far less to create than dataclasses, and
+only the readout check imports the metrology closed forms, when it runs:
+``entangle --full-model`` does not load ``metrology``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -40,7 +45,6 @@ from .dynamics import (
     transfer_matrix,
 )
 from .gaussian import VACUUM_VARIANCE, _read_only, direct_sum, vacuum
-from .metrology import MeterParams, noise, phi_opt, signal_coeff
 
 __all__ = [
     "MAX_STEPS",
@@ -137,37 +141,76 @@ def _check_step(step: float) -> None:
         raise ValueError(f"step must be finite and positive, got {step!r}")
 
 
-def _rk4_power(z: np.ndarray, n: int) -> np.ndarray:
-    """P(z)^n in O(log n) products; P(hA) = 1 + hA + ... + (hA)^4/24 is one RK4 step.
+def _rows(cases: list[int], total: int):
+    """Index of ``cases`` in a stack of ``total``: a slice, not a copy, when it is all."""
+    return slice(None) if len(cases) == total else cases
 
-    Powers are carried as E = P^k - 1, (1 + E)(1 + F) = 1 + E + F + EF, so
-    a small step's increment is not rounded away against the identity.
+
+def _rk4_power(z: np.ndarray, n: list[int]) -> np.ndarray:
+    """P(z)^n for a stack z of shape (cases, d, d), one count per case in ``n``.
+
+    P(hA) = 1 + hA + ... + (hA)^4/24 is one RK4 step, and each power takes
+    O(log n) products.  Powers are carried as E = P^k - 1, (1 + E)(1 + F) =
+    1 + E + F + EF, so a small step's increment is not rounded away against
+    the identity.  Each squaring and product runs on the cases that still
+    need it, so a case's power has the same bits alone as in any stack;
+    n = 0 gives the identity.
     """
-    eye = np.eye(z.shape[0])
-    base = z @ (eye + z @ (eye + z @ (eye + z / 4.0) / 3.0) / 2.0)
-    result = None
-    while True:
-        if n & 1:
-            result = base if result is None else result + base + result @ base
-        n >>= 1
-        if not n:
-            return eye + result
-        base = 2.0 * base + base @ base
+    eye, total = np.eye(z.shape[-1]), len(n)
+    live = [i for i in range(total) if n[i]]
+    base, result, started = np.zeros(z.shape), np.zeros(z.shape), set()
+    if live:
+        rows = _rows(live, total)
+        z = z[rows]
+        base[rows] = z @ (eye + z @ (eye + z @ (eye + z / 4.0) / 3.0) / 2.0)
+    while live:
+        take = [i for i in live if n[i] & 1]
+        first = [i for i in take if i not in started]
+        more = [i for i in take if i in started]
+        started.update(first)
+        if first:
+            rows = _rows(first, total)
+            result[rows] = base[rows]
+        if more:
+            rows = _rows(more, total)
+            e, b = result[rows], base[rows]
+            result[rows] = e + b + e @ b
+        n = [k >> 1 for k in n]
+        live = [i for i in live if n[i]]
+        if live:
+            rows = _rows(live, total)
+            b = base[rows]
+            base[rows] = 2.0 * b + b @ b
+    return eye + result
 
 
-def propagator(a, t: float, step: float) -> np.ndarray:
-    """Fixed-step RK4 propagator of v' = a @ v from 0 to ``t``.
-
-    The interval is split into n = ceil(t / step) <= MAX_STEPS equal steps.
-    """
+def _steps(t: float, step: float) -> int:
+    """n = ceil(t / step) <= MAX_STEPS, the RK4 steps of one propagator."""
     _check_step(step)
-    a = np.asarray(a, dtype=float)
     if not t >= 0:  # also catches nan
         raise ValueError(f"t must be nonnegative, got {t!r}")
     if t / step > MAX_STEPS:  # also catches inf
-        raise ValueError(f"step {float(step)!r} needs over {MAX_STEPS} RK4 steps for t={t:g}")
-    n = math.ceil(t / step)
-    return _rk4_power((t / n) * a, n) if n else np.eye(a.shape[0])
+        raise ValueError(f"step {step!r} needs over {MAX_STEPS} RK4 steps for t={t:g}")
+    return math.ceil(t / step)
+
+
+def propagator(a, t, step) -> np.ndarray:
+    """Fixed-step RK4 propagator of v' = a @ v from 0 to ``t``.
+
+    The interval is split into n = ceil(t / step) <= MAX_STEPS equal steps.
+    ``a`` may be a stack of drifts of shape (..., d, d): ``t`` and ``step``
+    broadcast over its leading axes, each case gets its own n, and the
+    result, of the broadcast shape + (d, d), holds each case's propagator
+    to the same bits as its own call.  The first refused case raises
+    ValueError.
+    """
+    a = np.asarray(a, dtype=float)
+    shape = np.broadcast(np.empty(a.shape[:-2]), t, step).shape
+    t, step = (np.full(shape, x, dtype=float).ravel().tolist() for x in (t, step))
+    n = [_steps(t_i, step_i) for t_i, step_i in zip(t, step)]
+    h = np.array([t_i / n_i if n_i else 0.0 for t_i, n_i in zip(t, n)]).reshape(shape + (1, 1))
+    d = a.shape[-1]
+    return _rk4_power((h * a).reshape(-1, d, d), n).reshape(shape + (d, d))
 
 
 def _rel(value: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -204,14 +247,10 @@ def _settle(measure, step, span, rtol: float, atol: float = 0.0):
     return fine, diff, settled
 
 
-class _Covariance(NamedTuple):
-    """The covariance ``integrate_moments`` returns, as ``.matrix``.
-
-    Only bench/layers.py:178 still reads it through ``.matrix``; ROADMAP
-    item 8 switches that probe to the array and deletes this holder.
-    """
-
-    matrix: np.ndarray
+# The covariance ``integrate_moments`` returns, as ``.matrix``.  Only
+# bench/layers.py:176 still reads it; ROADMAP item 8 switches that probe to
+# the array, and item 10 then deletes this holder and integrate_moments.
+_Covariance = namedtuple("_Covariance", ["matrix"])
 
 
 def integrate_moments(
@@ -267,18 +306,23 @@ def full_model_deviation(p: ProbeParams, step: float | None = None) -> tuple[flo
     """
     closed = prepare(p)
     if p.delta is None:
-        p = replace(p, delta=(100.0 if p.coupling >= 0 else -100.0) * closed.mode_frequency)
+        delta = (100.0 if p.coupling >= 0 else -100.0) * closed.mode_frequency
+        p = ProbeParams(p.omega, p.coupling, delta, p.n_th, p.gamma_mech)
     system = build_entangler_system(p, adiabatic=False)
     c0 = direct_sum(thermal_covariance(p.n_th), vacuum(1))
     t_off, target = closed.switch_off_time, closed.covariance
     scale = max(1.0, abs(target).max())
 
     def deviation(h) -> np.ndarray:
-        try:
-            _, c = integrate_moments(system, None, c0, 0.0, t_off, h)
-        except IntegrationDivergedError:
+        # overflow is how divergence presents: a non-finite X C0 X^T counts
+        # as a diverged run, whose deviation is nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = propagator(system, t_off, h)
+            c = x @ c0 @ x.T
+            c = 0.5 * (c + c.T)
+        if not np.isfinite(c).all():
             return np.full((1, 1), math.nan)
-        return np.full((1, 1), abs(c.matrix[:4, :4] - target).max() / scale)
+        return np.full((1, 1), abs(c[:4, :4] - target).max() / scale)
 
     # A coarser start gains nothing: near RK4's stability edge the cavity
     # is damped away at h and h/2 alike, and the two agree on a wrong value.
@@ -299,31 +343,35 @@ ENTANGLER_TOLERANCE = 1e-8
 _TAU_GRID = tuple(k * math.pi / 4.0 for k in range(1, 9))
 
 
-@dataclass(frozen=True)
-class VerifyGrid:
-    """Parameter grid for verify_closed_forms."""
+VerifyGrid = namedtuple(
+    "VerifyGrid",
+    ["taus", "kappas", "ratios", "n_ths", "phi_modes", "transfer_times"],
+    defaults=[
+        (1e-6, 1e-3) + _TAU_GRID,
+        (0.05, 0.3, 1.0, 3.0, 5.0),
+        (1.0, 2.0, 10.0, 1e3),
+        (0.0, 20.0, 1e3),
+        ("zero", "opt"),
+        (0.35, 1.0, math.pi / 2.0, 2.8, 5.9),
+    ],
+)
+VerifyGrid.__doc__ = "Parameter grid for verify_closed_forms, one tuple of values per axis."
 
-    taus: tuple[float, ...] = (1e-6, 1e-3) + _TAU_GRID
-    kappas: tuple[float, ...] = (0.05, 0.3, 1.0, 3.0, 5.0)
-    ratios: tuple[float, ...] = (1.0, 2.0, 10.0, 1e3)
-    n_ths: tuple[float, ...] = (0.0, 20.0, 1e3)
-    phi_modes: tuple[str, ...] = ("zero", "opt")
-    transfer_times: tuple[float, ...] = (0.35, 1.0, math.pi / 2.0, 2.8, 5.9)
 
+class CheckResult(
+    namedtuple(
+        "CheckResult",
+        "name points max_rel_error worst_case passed informational failures guard_margin",
+        defaults=[False, (), 0.0],
+    )
+):
+    """Outcome of one closed-form-vs-oracle comparison family.
 
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of one closed-form-vs-oracle comparison family."""
+    ``guard_margin`` is the largest step-halving (h vs h/2) difference,
+    which fails above tolerance/10.
+    """
 
-    name: str
-    points: int
-    max_rel_error: float
-    worst_case: str
-    passed: bool
-    informational: bool = False
-    failures: tuple[str, ...] = ()
-    # largest step-halving (h vs h/2) difference; fails above tolerance/10
-    guard_margin: float = 0.0
+    __slots__ = ()
 
     def summary(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -334,9 +382,10 @@ class CheckResult:
         )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    checks: tuple[CheckResult, ...]
+class VerificationReport(namedtuple("VerificationReport", ["checks"])):
+    """Every check of one verify_closed_forms run, in report order."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -405,9 +454,9 @@ def _check_entangler(grid: VerifyGrid) -> list[CheckResult]:
         states = [thermal_covariance(n_th) for n_th in grid.n_ths]
 
         def measure(steps):
-            xs = [propagator(drift, t, h) for t, h in zip(times, steps)]
+            xs = propagator(drift, times, steps)
             covs = [0.5 * (c + c.T) for c in (xs[-1] @ c0 @ xs[-1].T for c0 in states)]
-            return np.reshape(xs[:n_t] + covs, (-1, 4, 4))
+            return np.reshape([*xs[:n_t], *covs], (-1, 4, 4))
 
         step = (2.0 * math.pi / theta) / 2048.0
         value, diffs[i], _ = _settle(measure, step, times, ENTANGLER_TOLERANCE / 10.0)
@@ -441,9 +490,11 @@ def _check_readout(
     )
     diffs = errors = printed = ()
     if cases:
+        from .metrology import MeterParams, noise, phi_opt, signal_coeff
+
         shape = (len(grid.kappas), len(grid.taus))
         kappa, tau = np.array(grid.kappas)[:, None], np.array(grid.taus)
-        drifts = [build_measurement_system(k) for k in grid.kappas]
+        drifts = np.array([build_measurement_system(k) for k in grid.kappas])[:, None]
         # axes (kappa, tau, ratio, n_th, phi mode); the probes start in the
         # rotated entangled state and the meters in vacuum
         phi = np.where([mode == "opt" for mode in grid.phi_modes], phi_opt(tau)[:, None], 0.0)
@@ -459,9 +510,7 @@ def _check_readout(
 
         def measure(steps):
             # (kappa, tau, 9, 9) propagators of the readout with a unit force column
-            x = np.array(
-                [[propagator(a, t, h) for t, h in zip(tau, row)] for a, row in zip(drifts, steps)]
-            )
+            x = propagator(drifts, tau, steps)
             # Y1 + Y2 at tau as a row over the initial (q1, p1, q2, p2, X1, Y1, X2, Y2, f)
             v = x[..., 5, :] + x[..., 7, :]
             noises = np.einsum(

@@ -1,4 +1,5 @@
 import importlib
+import json
 import math
 import os
 import re
@@ -778,6 +779,14 @@ def test_points_cap_is_config_error(launch_cli, tmp_path, args):
     assert peak < 1e6  # rejected before any grid is allocated
 
 
+@pytest.mark.parametrize("points", ["1", "0", "-5"])
+@pytest.mark.parametrize("command", ["dump-config", "fmin", "fig1"])
+def test_too_few_points_is_config_error_for_every_command(launch_cli, tmp_path, command, points):
+    proc = launch_cli(command, "--points", points)
+    assert proc == (2, "", f"config error: points must be at least 2, got {points}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_points_cap_accepts_the_cap(launch_cli):
     code, out, _ = launch_cli("dump-config", "--points", "1000000")
     assert code == 0 and "points = 1000000" in out
@@ -876,3 +885,29 @@ def test_parser_for_one_command_prints_the_same_help(capsys, argv):
             parser.parse_args(argv)
         texts.append(capsys.readouterr().out)
     assert texts[0] == texts[1] and "usage: twinprobe" in texts[0]
+
+
+# stdout, stderr and exit code of argvs whose texts list the subcommands or
+# come from the top-level parser, as the parser with all eight printed them
+PARSER_TEXTS = json.loads((Path(__file__).parent / "parser_texts.json").read_text())
+
+
+@pytest.mark.parametrize("case", PARSER_TEXTS, ids=lambda case: " ".join(case["argv"]) or "none")
+def test_parser_texts_match_the_pinned_ones(launch_cli, case):
+    assert launch_cli(*case["argv"]) == (case["code"], case["stdout"], case["stderr"])
+
+
+def test_main_registers_only_a_first_word_command(launch_cli, monkeypatch):
+    real, registered = cli.build_parser, []
+
+    def spy(*args, **kwargs):
+        parser = real(*args, **kwargs)
+        action = next(a for a in parser._actions if a.dest == "command")
+        registered.append(list(action.choices))
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    for argv in (["dump-config"], ["--bogus", "dump-config"], ["dmp-config"], ["--help"]):
+        launch_cli(*argv)
+    every = [name for name, *_ in cli._COMMANDS]
+    assert registered == [["dump-config"], every, every, every]

@@ -88,6 +88,8 @@ def test_oracle_commands_load_the_oracle(tmp_path, argv):
     code, modules = _modules_after_main(argv, tmp_path)
     assert code == 0
     assert "twinprobe.oracle" in modules
+    # only verify's readout check needs the metrology closed forms
+    assert ("twinprobe.metrology" in modules) == (argv[0] == "verify")
 
 
 _REPORT_THREADS = """

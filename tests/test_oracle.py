@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import warnings
@@ -157,15 +158,14 @@ def test_integration_divergence_detected():
 def test_full_model_guard_halves_past_a_diverged_step(monkeypatch):
     p = ProbeParams.from_squeeze_ratio(1.0, 2.0, delta=100.0, n_th=20.0)
     settled, _ = full_model_deviation(p)
-    real, steps = oracle.integrate_moments, []
+    real, steps = oracle.propagator, []
 
-    def diverge_at_first_step(a, mean0, cov0, force, t_final, step):
+    def diverge_at_first_step(a, t, step):
         steps.append(step)
-        if len(steps) == 1:
-            raise IntegrationDivergedError("diverged")
-        return real(a, mean0, cov0, force, t_final, step)
+        x = real(a, t, step)
+        return np.full_like(x, math.inf) if len(steps) == 1 else x
 
-    monkeypatch.setattr(oracle, "integrate_moments", diverge_at_first_step)
+    monkeypatch.setattr(oracle, "propagator", diverge_at_first_step)
     deviation, _ = full_model_deviation(p)
     assert steps == [steps[0] / 2**k for k in range(3)]
     assert deviation == pytest.approx(settled, rel=1e-3)
@@ -258,16 +258,28 @@ def test_verify_grid_with_an_empty_family(grid, empty):
 @pytest.mark.parametrize(
     "grid, unused",
     [
-        (VerifyGrid(kappas=(), transfer_times=(), n_ths=()), ("propagator", "noise")),
-        (VerifyGrid(kappas=()), ("noise", "signal_coeff", "phi_opt", "mode_rotation")),
+        (
+            VerifyGrid(kappas=(), transfer_times=(), n_ths=()),
+            ("oracle.propagator", "metrology.noise"),
+        ),
+        (
+            VerifyGrid(kappas=()),
+            (
+                "metrology.noise",
+                "metrology.signal_coeff",
+                "metrology.phi_opt",
+                "oracle.mode_rotation",
+            ),
+        ),
     ],
 )
 def test_an_empty_family_builds_nothing(monkeypatch, grid, unused):
     def refuse(*args, **kwargs):
         raise AssertionError("an empty family built an oracle or closed-form value")
 
+    # the readout check imports the closed forms from metrology when it runs
     for name in unused:
-        monkeypatch.setattr(oracle, name, refuse)
+        monkeypatch.setattr(f"twinprobe.{name}", refuse)
     assert verify_closed_forms(grid, include_printed_signal=True).passed
 
 
@@ -300,6 +312,44 @@ def test_verify_points_and_python_floats():
         assert type(check.guard_margin) is float, check.name
 
 
+# Every field of the default grid's checks, floats as float.hex and the failure
+# lines as the sha256 of their newline-joined text.  Pinned from the propagator
+# that ran one case per call; powering the cases as a stack changes no bit.
+DEFAULT_GRID_CHECKS = [
+    (
+        "entangler-transfer", 20, "0x1.0e7e7fff454b8p-34", "ratio=1000 t=1.5708",
+        True, False, 0, hashlib.sha256(b"").hexdigest(), "0x1.6079afff3deacp-32",
+    ),
+    (
+        "switch-off-covariance", 12, "0x1.88b2b65a5cd7ep-46", "ratio=2 n_th=1000",
+        True, False, 0, hashlib.sha256(b"").hexdigest(), "0x1.6f41960fa124cp-42",
+    ),
+    (
+        "readout-moments", 1250, "0x1.ad99fdf3ec66bp-41", "kappa=5 tau_scaled=0.001 signal",
+        True, False, 0, hashlib.sha256(b"").hexdigest(), "0x1.92a8a8ef2c007p-37",
+    ),
+    (
+        "readout-signal-printed", 50, "0x1.5d3f0309afd33p+42", "kappa=0.05 tau_scaled=1e-06",
+        False, True, 40, "09f4f3f2c517c68a0d897ab6ea41d76e7b935b90c823df860fda8c2eb5f977bf",
+        "0x1.92a8a8ef2c007p-37",
+    ),
+]
+
+
+@pytest.mark.parametrize("printed", [False, True])
+def test_default_grid_checks_keep_every_bit(printed):
+    report = verify_closed_forms(include_printed_signal=printed)
+    got = [
+        (
+            c.name, c.points, c.max_rel_error.hex(), c.worst_case, c.passed, c.informational,
+            len(c.failures), hashlib.sha256("\n".join(c.failures).encode()).hexdigest(),
+            c.guard_margin.hex(),
+        )
+        for c in report.checks
+    ]
+    assert got == DEFAULT_GRID_CHECKS[: 3 + printed]
+
+
 def rk4_steps(a, n, h):
     """Reference: n classical RK4 steps of dX/dt = a @ X from X = I, one at a time."""
     x = np.eye(a.shape[0])
@@ -324,6 +374,46 @@ def test_propagator_matches_stepwise_rk4(n, drive):
     x = propagator(a, t, (t / n) * (1.0 + 1e-12))
     want = rk4_steps(a, n, t / n)
     assert np.max(np.abs(x - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_batched_propagator_matches_each_case_bitwise():
+    # a (3, 1) stack of drifts against four end times: the cases take from
+    # 0 (t = 0) to 2000 steps, so their bit patterns differ at every squaring
+    rng = np.random.default_rng(23)
+    a = rng.normal(size=(3, 1, 5, 5))
+    t = np.array([0.0, 0.3, 1.3, 2.0])
+    step = np.array([[0.1], [0.013], [1e-3]])
+    x = propagator(a, t, step)
+    assert x.shape == (3, 4, 5, 5)
+    for i, j in np.ndindex(3, 4):
+        alone = propagator(a[i, 0], float(t[j]), float(step[i, 0]))
+        assert x[i, j].tobytes() == alone.tobytes(), (i, j)
+    assert np.array_equal(x[:, 0], np.broadcast_to(np.eye(5), (3, 5, 5)))
+    # one drift broadcast over times, as the entangler check powers it
+    b = build_entangler_system(ProbeParams.from_squeeze_ratio(1.0, 3.0))
+    times = np.array([0.35, 5.9, 0.0, 1.0])
+    stack = propagator(b, times, 1e-3)
+    for x_t, t_one in zip(stack, times.tolist()):
+        assert x_t.tobytes() == propagator(b, t_one, 1e-3).tobytes()
+
+
+@pytest.mark.parametrize(
+    "t, step, message",
+    [
+        (1.0, -1.0, "step must be finite and positive, got -1.0"),
+        (1.0, math.nan, "step must be finite and positive, got nan"),
+        (math.nan, 0.1, "t must be nonnegative, got nan"),
+        (-1.0, 0.1, "t must be nonnegative, got -1.0"),
+        (1.0, 1e-320, "step 1e-320 needs over 1099511627776 RK4 steps for t=1"),
+        (math.inf, 0.1, "step 0.1 needs over 1099511627776 RK4 steps for t=inf"),
+        # a stack is refused at its first refused case
+        ([1.0, -2.0, -3.0], 0.1, "t must be nonnegative, got -2.0"),
+        ([1.0, 3.0], [0.1, 1e-12], "step 1e-12 needs over 1099511627776 RK4 steps for t=3"),
+    ],
+)
+def test_propagator_refusals_name_the_case(t, step, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        propagator(np.zeros((4, 4)), t, step)
 
 
 RATIO_1E3 = ProbeParams.from_squeeze_ratio(1.0, 1e3)
