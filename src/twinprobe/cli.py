@@ -19,9 +19,9 @@ verification failure.
 The module top imports only ``_common`` and standard library modules that
 argparse loads anyway; each command imports the numerical layers it uses
 when it runs, so ``--help``, ``dump-config`` and a rejected configuration
-load neither numpy nor ``dataclasses``.  Unless numpy is loaded already,
-``main`` sets OPENBLAS_NUM_THREADS to 1 where the environment does not set
-it.
+load no numpy, and no command loads ``dataclasses``.  Unless numpy is
+loaded already, ``main`` sets OPENBLAS_NUM_THREADS to 1 where the
+environment does not set it.
 """
 from __future__ import annotations
 

@@ -11,7 +11,7 @@ covariance is diagonal in the (q1 -/+ q2, p1 -/+ p2) combinations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ class UnstableRegimeError(DomainError, ValueError):
     """The coupling drives the relative mode unstable (imaginary frequency)."""
 
 
-@dataclass(frozen=True)
-class ProbeParams:
+class ProbeParams(namedtuple("ProbeParams", "omega coupling delta n_th gamma_mech")):
     """Physical inputs of the entangling stage.
 
     omega       mechanical frequency of both probes
@@ -52,24 +51,25 @@ class ProbeParams:
                 time budget
     """
 
-    omega: float
-    coupling: float = 0.0
-    delta: float | None = None
-    n_th: float = 0.0
-    gamma_mech: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.omega <= 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        if self.n_th < 0:
-            raise ValueError(f"n_th must be nonnegative, got {self.n_th}")
-        if self.gamma_mech < 0:
-            raise ValueError(f"gamma_mech must be nonnegative, got {self.gamma_mech}")
-        if self.delta is not None:
-            if self.delta == 0:
+    def __new__(cls, omega, coupling=0.0, delta=None, n_th=0.0, gamma_mech=0.0):
+        if omega <= 0:
+            raise ValueError(f"omega must be positive, got {omega}")
+        if n_th < 0:
+            raise ValueError(f"n_th must be nonnegative, got {n_th}")
+        if gamma_mech < 0:
+            raise ValueError(f"gamma_mech must be nonnegative, got {gamma_mech}")
+        if delta is not None:
+            if delta == 0:
                 raise ValueError("delta must be nonzero")
-            if self.coupling * self.delta < 0:
+            if coupling * delta < 0:
                 raise ValueError("coupling and delta must have the same sign")
+        return super().__new__(cls, omega, coupling, delta, n_th, gamma_mech)
+
+    @classmethod
+    def _make(cls, values) -> "ProbeParams":  # through __new__, so that _replace checks too
+        return cls(*values)
 
     @classmethod
     def from_squeeze_ratio(
@@ -196,8 +196,13 @@ def rotate(c: np.ndarray, phi: float) -> np.ndarray:
     return _read_only(0.5 * (m + m.T))
 
 
-@dataclass(frozen=True)
-class EntanglerOutput:
+class EntanglerOutput(
+    namedtuple(
+        "EntanglerOutput",
+        "mode_frequency ratio switch_off_time covariance"
+        " relative_q_variance total_p_variance variance_product squeeze_margin",
+    )
+):
     """State of the entangling stage at switch-off, with two separability diagnostics.
 
     In units where the collective vacuum variance is 1, the squeezed
@@ -211,14 +216,18 @@ class EntanglerOutput:
     test is strictly more demanding at n_th > 0.
     """
 
-    mode_frequency: float
-    ratio: float
-    switch_off_time: float
-    covariance: np.ndarray = field(compare=False)  # == and hash see the scalars only
-    relative_q_variance: float
-    total_p_variance: float
-    variance_product: float
-    squeeze_margin: float
+    __slots__ = ()
+
+    # == and hash see the scalars, every field but the covariance array; a
+    # record equals no other type, not even a plain tuple of its values
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return same and self[:3] + self[4:] == other[:3] + other[4:]
+
+    __ne__ = object.__ne__  # the inverse of __eq__: the tuple's own compares the arrays
+
+    def __hash__(self) -> int:
+        return hash(self[:3] + self[4:])
 
     @property
     def entangled(self) -> bool:

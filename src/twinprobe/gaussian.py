@@ -8,7 +8,7 @@ the mean, held as read-only float arrays.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -33,8 +33,11 @@ def _read_only(m: np.ndarray) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(
+    namedtuple(
+        "ValidationReport", "dim symmetry_defect min_eigenvalue uncertainty_products failures"
+    )
+):
     """Physicality diagnostics for a covariance matrix.
 
     ``symmetry_defect`` is the largest |C - C^T| entry; the eigenvalues are
@@ -43,11 +46,7 @@ class ValidationReport:
     condition only, not the full multimode uncertainty relation.
     """
 
-    dim: int
-    symmetry_defect: float
-    min_eigenvalue: float
-    uncertainty_products: tuple[float, ...]
-    failures: tuple[str, ...]
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

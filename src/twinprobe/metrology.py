@@ -15,7 +15,7 @@ bookkeeping kept for cross-checking.  They coincide at tau_scaled =
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -40,8 +40,7 @@ class UndetectableForceError(DomainError, ValueError):
     """The signal transfer vanishes, so no force resolves at this setting."""
 
 
-@dataclass(frozen=True)
-class MeterParams:
+class MeterParams(namedtuple("MeterParams", "kappa tau_scaled phi signal_variant")):
     """Readout settings: meter strength, interaction time, homodyne angle.
 
     kappa          composite meter strength g*gamma/omega
@@ -54,21 +53,22 @@ class MeterParams:
     closed forms below then return arrays of the broadcast shape.
     """
 
-    kappa: float
-    tau_scaled: float
-    phi: float = 0.0
-    signal_variant: str = SIGNAL_CONSISTENT
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if np.any(self.kappa < 0):
-            raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
-        if np.any(self.tau_scaled < 0):
-            raise ValueError(f"tau_scaled must be nonnegative, got {self.tau_scaled}")
-        if self.signal_variant not in SIGNAL_VARIANTS:
+    def __new__(cls, kappa, tau_scaled, phi=0.0, signal_variant=SIGNAL_CONSISTENT):
+        if np.any(kappa < 0):
+            raise ValueError(f"kappa must be nonnegative, got {kappa}")
+        if np.any(tau_scaled < 0):
+            raise ValueError(f"tau_scaled must be nonnegative, got {tau_scaled}")
+        if signal_variant not in SIGNAL_VARIANTS:
             raise ValueError(
-                f"signal_variant must be one of {SIGNAL_VARIANTS}, "
-                f"got {self.signal_variant!r}"
+                f"signal_variant must be one of {SIGNAL_VARIANTS}, got {signal_variant!r}"
             )
+        return super().__new__(cls, kappa, tau_scaled, phi, signal_variant)
+
+    @classmethod
+    def _make(cls, values) -> "MeterParams":  # through __new__, so that _replace checks too
+        return cls(*values)
 
 
 def t_minus_sin(t):
@@ -174,20 +174,15 @@ def _sql_from(m: MeterParams, signal):
     return f_min_from(m, signal, _noise(m, 1.0, 0.0, 0.0))
 
 
-@dataclass(frozen=True)
-class DecoherenceBudget:
-    """Coherence-time bookkeeping of one rotation-plus-readout run.
+DecoherenceBudget = namedtuple(
+    "DecoherenceBudget", "budget rotation_time force_time time_used feasible"
+)
+DecoherenceBudget.__doc__ = """Coherence-time bookkeeping of one rotation-plus-readout run.
 
-    ``budget`` is 1 / (gamma_mech * n_th) (infinite when either factor
-    vanishes); ``time_used`` is the free-evolution time implementing the
-    rotation plus the force integration time, both in physical units.
-    """
-
-    budget: float
-    rotation_time: float
-    force_time: float
-    time_used: float
-    feasible: bool
+``budget`` is 1 / (gamma_mech * n_th) (infinite when either factor
+vanishes); ``time_used`` is the free-evolution time implementing the
+rotation plus the force integration time, both in physical units.
+"""
 
 
 def decoherence_budget(p, phi: float, tau: float) -> DecoherenceBudget:

@@ -22,9 +22,8 @@ at the caller's step or 1/8 of its end time if that is finer, and the step
 halves until the results at h and h/2 agree (Hairer, Norsett and Wanner,
 Solving Ordinary Differential Equations I, section II.4).
 
-Every command that loads this module pays for its import, so the records
-are named tuples, which cost far less to create than dataclasses, and
-only the readout check imports the metrology closed forms, when it runs:
+Every command that loads this module pays for its import, so only the
+readout check imports the metrology closed forms, when it runs:
 ``entangle --full-model`` does not load ``metrology``.
 """
 from __future__ import annotations
@@ -307,7 +306,7 @@ def full_model_deviation(p: ProbeParams, step: float | None = None) -> tuple[flo
     closed = prepare(p)
     if p.delta is None:
         delta = (100.0 if p.coupling >= 0 else -100.0) * closed.mode_frequency
-        p = ProbeParams(p.omega, p.coupling, delta, p.n_th, p.gamma_mech)
+        p = p._replace(delta=delta)
     system = build_entangler_system(p, adiabatic=False)
     c0 = direct_sum(thermal_covariance(p.n_th), vacuum(1))
     t_off, target = closed.switch_off_time, closed.covariance

@@ -11,7 +11,7 @@ a record array of rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 import numpy as np
 
@@ -42,8 +42,21 @@ __all__ = [
 _AXES = ("tau_scaled", "kappa")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+_SPEC_DEFAULTS = {
+    "axis": "tau_scaled",
+    "lo": 0.05,
+    "hi": 2.0 * math.pi,
+    "points": 512,
+    "kappa": 1.0,
+    "tau_scaled": math.pi / 2.0,
+    "n_th": 20.0,
+    "ratios": (1.0, 2.0, 10.0),
+    "include_sql": True,
+    "signal_variant": SIGNAL_CONSISTENT,
+}
+
+
+class SweepSpec(namedtuple("SweepSpec", _SPEC_DEFAULTS, defaults=_SPEC_DEFAULTS.values())):
     """One-axis sweep of the minimum detectable force.
 
     ``axis`` selects which of ``tau_scaled``/``kappa`` runs over the
@@ -53,18 +66,10 @@ class SweepSpec:
     ratio-1 zero-temperature reference at phi = 0.
     """
 
-    axis: str = "tau_scaled"
-    lo: float = 0.05
-    hi: float = 2.0 * math.pi
-    points: int = 512
-    kappa: float = 1.0
-    tau_scaled: float = math.pi / 2.0
-    n_th: float = 20.0
-    ratios: tuple[float, ...] = (1.0, 2.0, 10.0)
-    include_sql: bool = True
-    signal_variant: str = SIGNAL_CONSISTENT
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.axis not in _AXES:
             raise ValueError(f"axis must be one of {_AXES}, got {self.axis!r}")
         if not (self.lo > 0 and self.hi > self.lo):
@@ -79,16 +84,21 @@ class SweepSpec:
             raise ValueError(f"ratios must be nonempty and >= 1, got {self.ratios}")
         if self.signal_variant not in SIGNAL_VARIANTS:
             raise ValueError(f"unknown signal variant {self.signal_variant!r}")
+        return self
+
+    @classmethod
+    def _make(cls, values) -> "SweepSpec":  # through __new__, so that _replace checks too
+        return cls(*values)
 
 
 def fig1_spec(**overrides) -> SweepSpec:
     """Duration sweep: f_min vs tau_scaled at fixed coupling."""
-    return replace(SweepSpec(), **overrides)
+    return SweepSpec(**overrides)
 
 
 def fig2_spec(**overrides) -> SweepSpec:
     """Coupling sweep: f_min vs kappa on a log grid at fixed duration."""
-    return replace(SweepSpec(axis="kappa", lo=0.05, hi=5.0), **overrides)
+    return SweepSpec(**{"axis": "kappa", "hi": 5.0, **overrides})
 
 
 def axis_values(spec: SweepSpec) -> np.ndarray:
@@ -197,10 +207,8 @@ def fmin_curve(spec: SweepSpec, jobs: int = 1) -> np.recarray:
     return rows
 
 
-@dataclass(frozen=True)
-class KappaOptimum:
-    kappa: float
-    f_min: float
+KappaOptimum = namedtuple("KappaOptimum", "kappa f_min")
+KappaOptimum.__doc__ = "The coupling that minimizes f_min, and that f_min."
 
 
 def optimal_kappa(

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -895,6 +896,22 @@ PARSER_TEXTS = json.loads((Path(__file__).parent / "parser_texts.json").read_tex
 @pytest.mark.parametrize("case", PARSER_TEXTS, ids=lambda case: " ".join(case["argv"]) or "none")
 def test_parser_texts_match_the_pinned_ones(launch_cli, case):
     assert launch_cli(*case["argv"]) == (case["code"], case["stdout"], case["stderr"])
+
+
+# each fenced text block of the README that shows a command and its output
+README_RUNS = re.findall(
+    r"^```text\n\$ (twinprobe .*?)\n(.*?)^```$",
+    (Path(__file__).resolve().parents[1] / "README.md").read_text(),
+    re.DOTALL | re.MULTILINE,
+)
+
+
+@pytest.mark.parametrize(
+    "command, stdout", README_RUNS, ids=[command.split()[1] for command, _ in README_RUNS]
+)
+def test_readme_transcripts_match_the_cli(launch_cli, command, stdout):
+    proc = launch_cli(*shlex.split(command)[1:])
+    assert (proc.returncode, proc.stdout) == (0, stdout)
 
 
 def test_main_registers_only_a_first_word_command(launch_cli, monkeypatch):

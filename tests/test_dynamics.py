@@ -251,5 +251,7 @@ def test_prepare_pipeline():
     assert out.switch_off_time == pytest.approx(math.pi / 4.0)
     assert out.entangled
     assert validate(out.covariance).passed
-    # the array covariance stays out of the record's == and hash
+    # the array covariance stays out of the record's ==, != and hash
     assert out == prepare(p) and hash(out) == hash(prepare(p))
+    assert not (out != prepare(p))
+    assert out != tuple(prepare(p)) and not out == tuple(prepare(p))

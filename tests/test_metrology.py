@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +19,7 @@ from twinprobe.metrology import (
     t_minus_sin,
 )
 from twinprobe.dynamics import ProbeParams
-from twinprobe.sweep import optimal_kappa
+from twinprobe.sweep import SweepSpec, optimal_kappa
 
 PI = math.pi
 
@@ -32,6 +31,22 @@ def test_meter_params_validation():
         MeterParams(kappa=1.0, tau_scaled=-1.0)
     with pytest.raises(ValueError):
         MeterParams(kappa=1.0, tau_scaled=1.0, signal_variant="bogus")
+
+
+@pytest.mark.parametrize(
+    "record, bad",
+    [
+        (ProbeParams(1.0), {"omega": -1}),
+        (MeterParams(1.0, 1.0), {"kappa": -0.1}),
+        (SweepSpec(), {"points": 1}),
+    ],
+)
+def test_replace_runs_the_constructor_checks(record, bad):
+    with pytest.raises(ValueError) as built:
+        type(record)(**{**record._asdict(), **bad})
+    with pytest.raises(ValueError) as replaced:
+        record._replace(**bad)
+    assert str(replaced.value) == str(built.value)
 
 
 def test_signal_consistent_frozen_values():
@@ -165,7 +180,7 @@ def test_sql_reference():
     m = MeterParams(1.0, PI / 2)
     assert sql(m) == pytest.approx(1.28490585296626357, rel=1e-13)
     # sql ignores the phase carried by the meter params
-    assert sql(replace(m, phi=0.9)) == sql(m)
+    assert sql(m._replace(phi=0.9)) == sql(m)
 
 
 def test_entangled_probes_beat_sql():
@@ -230,7 +245,7 @@ def test_closed_forms_match_arbitrary_precision_over_the_domain():
     variants = {}
     for v in SIGNAL_VARIANTS:
         m = MeterParams(kappa, tau, phi, v)
-        variants[v] = signal_coeff(m), f_min(m, ratio, n_th), sql(replace(m, phi=0.7))
+        variants[v] = signal_coeff(m), f_min(m, ratio, n_th), sql(m._replace(phi=0.7))
 
     def check(name, value, ref):
         errors[name] = max(errors[name], float(abs(mp.mpf(float(value)) - ref) / abs(ref)))
@@ -301,7 +316,7 @@ def test_broadcast_closed_forms(meters, states, variant):
             assert got["f_min"][i, j] == pytest.approx(f_min(one, r, n), rel=1e-12)
     assert np.all(got["noise"] >= 1.0)
     grid = np.linspace(-PI / 2, PI / 2, 64, endpoint=False)[:, None, None]
-    floor = noise(replace(m, phi=grid), ratio, n_th).min(axis=0)
+    floor = noise(m._replace(phi=grid), ratio, n_th).min(axis=0)
     assert np.all(got["noise"] <= floor + 1e-12 * floor)
 
 
