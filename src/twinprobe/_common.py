@@ -1,11 +1,13 @@
 """Names shared by the numerical layers and the command line front end.
 
 This module imports nothing beyond the standard library, so the front end
-can parse arguments, merge its configuration and report errors without
-loading numpy.
+can build its parser and report errors without loading numpy.  It also
+holds the settings schema, which the parser and the configuration merge
+both read; ``twinprobe.cli`` exports ``ConfigError`` and ``RunConfig``.
 """
 
 import math
+from collections import namedtuple
 
 __all__ = ["SIGNAL_CONSISTENT", "SIGNAL_PRINTED", "SIGNAL_VARIANTS", "DomainError", "finite"]
 
@@ -23,3 +25,63 @@ def finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise DomainError(f"{name} is beyond the float range ({value:g})")
     return value
+
+
+class ConfigError(ValueError):
+    """Invalid or contradictory configuration input."""
+
+
+ENV_PREFIX = "TWINPROBE_"
+
+_TRUE = {"1", "true", "yes", "on"}
+_FALSE = {"0", "false", "no", "off"}
+
+
+def _parse_bool(raw: str) -> bool:
+    lowered = raw.strip().lower()
+    if lowered in _TRUE:
+        return True
+    if lowered in _FALSE:
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+# Every setting, one row each: name, default, parser of its text form, help line.
+_SETTINGS = (
+    ("omega", 1.0, float, "mechanical frequency (sets the time unit)"),
+    ("coupling_chi", None, float, "composite coupling of the eliminated cavity"),
+    ("g_opt", None, float, "single-photon optomechanical coupling"),
+    ("beta_abs", None, float, "cavity amplitude magnitude"),
+    ("delta", None, float, "cavity detuning"),
+    ("r", None, float, "squeeze ratio of the entangler"),
+    ("temperature", None, float, "bath temperature (overrides --n-th)"),
+    ("hbar_over_kb", 1.0, float, "unit factor for the temperature conversion"),
+    ("n_th", 20.0, float, "thermal occupation of each probe"),
+    ("gamma_mech", 0.0, float, "mechanical damping rate"),
+    ("kappa", 1.0, float, "readout coupling g*gamma in units of omega"),
+    ("tau_scaled", math.pi / 2.0, float, "readout duration in units of 1/omega"),
+    ("phi", "opt", str, "interference phase in radians, or 'opt'"),
+    (
+        "signal_variant",
+        SIGNAL_CONSISTENT,
+        str,
+        "force transfer convention: consistent or printed",
+    ),
+    ("r_list", "1,2,10", str, "comma-separated squeeze ratios for sweeps"),
+    ("points", 512, int, "grid points per sweep"),
+    ("axis_lo", None, float, "sweep axis lower end"),
+    ("axis_hi", None, float, "sweep axis upper end"),
+    ("include_sql", True, _parse_bool, "emit the uncoupled ground-state reference column"),
+    ("out", None, str, "output CSV path"),
+    ("tolerance", 1e-6, float, "relative tolerance for the readout verification"),
+    ("include_printed_signal", False, _parse_bool, "also check the printed signal variant"),
+    ("full_model", False, _parse_bool, "propagate the full cavity model for comparison"),
+    ("jobs", 1, int, "processes formatting the sweep CSV (must be >= 1)"),
+    ("step", None, float, "integrator step override"),
+    ("gnuplot", None, str, "also write a gnuplot script to this path"),
+)
+
+RunConfig = namedtuple(
+    "RunConfig", [row[0] for row in _SETTINGS], defaults=[row[1] for row in _SETTINGS]
+)
+RunConfig.__doc__ = "Merged configuration seen by every subcommand, one field per setting."

@@ -26,13 +26,18 @@ def csv_chunks(axis: str, columns, jobs: int = 1):
     this process may use): this one, or a forked worker that formats its
     blocks while the earlier ones are written.  The workers start after the
     header and are all reaped before this generator ends or is closed.
-    Without ``os.fork``, or where a fork fails or a worker stops early, this
-    process formats the blocks itself, so the bytes are the same for any
+    This process formats the blocks itself where ``os.fork`` is missing,
+    where it runs more than one OS thread or cannot count them, or where a
+    fork fails or a worker stops early, so the bytes are the same for any
     ``jobs``.
     """
     count, block = _blocks(axis, columns)
     yield HEADER
     n = min(jobs, count, _cpus()) if hasattr(os, "fork") else 1
+    if n > 1 and _threads() != 1:
+        # a fork copies only this thread, and a lock that another one holds
+        # stays held in the child
+        n = 1
     readers = [None]
     pids = []
     try:
@@ -69,6 +74,14 @@ def _cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _threads() -> int:
+    """The number of OS threads this process runs, or 0 where it cannot be read."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return 0
 
 
 def _blocks(axis: str, columns):

@@ -232,7 +232,9 @@ def optimal_kappa(
     ramp = t_minus_sin(tau_scaled)
     if not ramp > 0.0:
         raise UndetectableForceError(f"signal transfer vanishes at tau_scaled={tau_scaled}")
-    kappa = 1.0 / math.sqrt(2.0 * ramp)
+    # 2 * ramp overflows from ramp ~ 9e307 on; 0.5 / sqrt(0.5 * ramp) has the
+    # same bits wherever 0.5 * ramp is exact, which a subnormal ramp is not
+    kappa = 1.0 / math.sqrt(2.0 * ramp) if ramp < 1.0 else 0.5 / math.sqrt(0.5 * ramp)
     point = fmin_columns(
         tau_scaled,
         kappa,

@@ -5,7 +5,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from twinprobe import cli
+from twinprobe import _common, cli
 
 
 def symplectic_form(n_modes):
@@ -52,7 +52,7 @@ def launch_cli(monkeypatch, capsys, tmp_path):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")
     for name in list(os.environ):
-        if name.startswith(cli.ENV_PREFIX):
+        if name.startswith(_common.ENV_PREFIX):
             monkeypatch.delenv(name)
 
     def launch(*args, env_extra=None):

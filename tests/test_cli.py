@@ -7,6 +7,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from twinprobe import _csv, cli, dynamics
+from twinprobe import _commands, _csv, cli, dynamics
 from twinprobe.cli import RunConfig
 from twinprobe.metrology import phi_opt
 from twinprobe.sweep import curve_columns, fig1_spec, fmin_columns
@@ -375,13 +376,26 @@ def test_gnuplot_onto_the_csv_is_config_error(launch_cli, tmp_path, args):
     ],
 )
 def test_unwritable_output_is_config_error(launch_cli, monkeypatch, tmp_path, args, key):
-    monkeypatch.setattr(_csv, "_cpus", lambda: 8)  # --jobs 2 forks on any host
+    fork_on_any_host(monkeypatch)
     bad = tmp_path / "no" / "such" / "dir"
     proc = launch_cli(*(a.format(bad=bad, tmp=tmp_path) for a in args))
     assert proc.returncode == 2
     assert f"config error: cannot write {key} {bad}/x." in proc.stderr
     assert "Traceback" not in proc.stderr
+    # every output is written before the command prints
+    assert proc.stdout == ""
     assert_no_child_process()
+
+
+def fork_on_any_host(monkeypatch):
+    """Let ``--jobs`` fork its workers in this process, whatever the host.
+
+    The CPU count is pinned above every ``--jobs`` the tests give, and the
+    thread count to one: this process runs more threads than a command line
+    process, where the OpenBLAS pin leaves one.
+    """
+    monkeypatch.setattr(_csv, "_cpus", lambda: 8)
+    monkeypatch.setattr(_csv, "_threads", lambda: 1)
 
 
 def assert_no_child_process():
@@ -399,9 +413,8 @@ def test_csv_determinism(launch_cli, monkeypatch, tmp_path):
         return out.read_bytes()
 
     # 5000 points and three ratios make four blocks: --jobs 2 gives the worker
-    # two of them, and --jobs 7 exceeds the block count; the CPU count is
-    # pinned above 7, so these fork on any host
-    monkeypatch.setattr(_csv, "_cpus", lambda: 8)
+    # two of them, and --jobs 7 exceeds the block count
+    fork_on_any_host(monkeypatch)
     for fig in ("fig1", "fig2"):
         for extra in ((), ("--no-include-sql",), ("--signal-variant", "printed")):
             blobs = {csv(fig, "--jobs", jobs, *extra) for jobs in ("1", "2", "3", "7")}
@@ -424,6 +437,27 @@ def test_csv_determinism(launch_cli, monkeypatch, tmp_path):
     assert csv("fig1", "--jobs", "4") == want
 
 
+def test_jobs_stay_serial_beside_another_thread(launch_cli, monkeypatch, tmp_path):
+    # a fork would copy a lock this thread holds; the CPU count alone allows one
+    monkeypatch.setattr(_csv, "_cpus", lambda: 8)
+    out = tmp_path / "out.csv"
+    assert launch_cli("fig1", "--points", "5000", "--out", str(out)).returncode == 0
+    want = out.read_bytes()
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside another thread"))
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        proc = launch_cli("fig1", "--points", "5000", "--jobs", "2", "--out", str(out))
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert proc == (0, f"wrote 15000 rows to {out}\n", "")
+    assert out.read_bytes() == want
+    assert_no_child_process()
+
+
 def test_config_file_env_flag_precedence(launch_cli, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("kappa = 2.0\ntau-scaled = 1.0  # dashes map to underscores\n")
@@ -438,6 +472,14 @@ def test_config_file_env_flag_precedence(launch_cli, tmp_path):
         env_extra={"TWINPROBE_KAPPA": "3"},
     )
     assert stdout_value(flag, "kappa") == 4.0
+
+
+def test_config_file_with_a_byte_order_mark(launch_cli, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kappa = 2.0\n", encoding="utf-8-sig")
+    proc = launch_cli("dump-config", "--config", str(cfg))
+    assert proc.returncode == 0
+    assert stdout_value(proc, "kappa") == 2.0
 
 
 def test_config_file_via_environment(launch_cli, tmp_path):
@@ -741,7 +783,7 @@ def test_csv_block_writer_matches_one_shot_join(tmp_path, case, axis, include_sq
         ]
     for columns in layouts:
         out = tmp_path / "rows.csv"
-        cli._write_csv(str(out), axis, columns)
+        _commands._write_csv(str(out), axis, columns)
         assert out.read_bytes() == one_shot_csv(axis, columns)
 
 
@@ -750,7 +792,7 @@ def test_csv_block_writer_memory_does_not_grow_with_rows(tmp_path):
     out = tmp_path / "big.csv"
     tracemalloc.start()
     try:
-        cli._write_csv(str(out), "tau_scaled", columns)
+        _commands._write_csv(str(out), "tau_scaled", columns)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -843,8 +885,12 @@ def test_largest_accepted_scale_stays_finite(launch_cli, tmp_path, args):
             ("optimize-kappa", "--tau-scaled", "1e300"),
             {"kappa_opt": "7.07106781187e-151", "f_min": "7.07106781187e-151"},
         ),
+        (
+            ("optimize-kappa", "--tau-scaled", "1e308"),
+            {"kappa_opt": "7.07106781187e-155", "f_min": "7.07106781187e-155"},
+        ),
     ],
-    ids=["fig1-n-th", "fmin-n-th", "optimize-kappa-tau"],
+    ids=["fig1-n-th", "fmin-n-th", "optimize-kappa-tau", "optimize-kappa-tau-1e308"],
 )
 def test_finite_result_near_the_float_limit(launch_cli, tmp_path, args, printed):
     # the true answer is finite, so no intermediate of the closed forms may overflow

@@ -5,6 +5,7 @@ These tests check module footprints, not timings.
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 import twinprobe
 
 SRC = str(Path(twinprobe.__file__).resolve().parent.parent)
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # the layers whose ``__all__`` the bench tracer wraps, one home per public name
 LAYERS = ("gaussian", "dynamics", "metrology", "oracle", "sweep", "cli")
@@ -114,6 +116,73 @@ def test_main_pins_blas_to_one_thread_unless_set(tmp_path, given):
         assert report["threads"] == 1
 
 
+_REPORT_FORKS = """
+import contextlib, io, json, os
+from twinprobe import cli
+forks, fork = [], os.fork
+def counted():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+os.fork = counted
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["fig1", "--points", "5000", "--jobs", "2"])
+print(json.dumps({"code": code, "forks": len(forks)}))
+"""
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,
+    reason="no /proc, or one usable CPU",
+)
+def test_jobs_fork_in_a_command_line_process(tmp_path):
+    # the OpenBLAS pin leaves the process one thread, so --jobs 2 forks its worker
+    report = json.loads(_python(_REPORT_FORKS, cwd=tmp_path))
+    assert report == {"code": 0, "forks": 1}
+
+
+def _run_module(*args, cwd):
+    """``python -X importtime -m ARGS``: the process and the modules it imported."""
+    env = dict(os.environ, PYTHONPATH=SRC, COLUMNS="80")
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", *args],
+        capture_output=True, text=True, env=env, cwd=cwd,
+    )
+    log = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    # the first line is the column header
+    return proc, {line.rsplit("|", 1)[1].strip() for line in log[1:]}
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--help"], 0),
+        (["fmn"], 2),
+        (["dump-config"], 0),
+        (["fmin"], 0),
+        (["entangle", "--r", "2", "--full-model"], 0),
+    ],
+)
+def test_module_entry_point_runs_the_front_end_once(tmp_path, argv, code):
+    proc, imported = _run_module("twinprobe.cli", *argv, cwd=tmp_path)
+    assert proc.returncode == code
+    # run as __main__, the front end would compile and run again if imported
+    assert "twinprobe.cli" not in imported
+    if argv in (["--help"], ["fmn"]):
+        assert {m for m in imported if m.startswith("twinprobe")} == {
+            "twinprobe",
+            "twinprobe._common",
+        }
+
+
+def test_package_entry_point_prints_the_same_help(tmp_path):
+    front, _ = _run_module("twinprobe.cli", "--help", cwd=tmp_path)
+    package, _ = _run_module("twinprobe", "--help", cwd=tmp_path)
+    assert (package.returncode, package.stdout) == (0, front.stdout)
+    assert front.stdout.startswith("usage: twinprobe ")
+
+
 def test_bare_import_loads_no_numpy(tmp_path):
     out = _python(
         "import sys, twinprobe; "
@@ -146,3 +215,24 @@ def test_submodules_and_unknown_names():
         twinprobe.no_such_name
     with pytest.raises(ImportError):
         exec("from twinprobe import no_such_name", {})
+
+
+def _removed_names():
+    """The dotted names in the first column of the README's table of removed names."""
+    section = README.read_text().split("### Removed names", 1)[1].split("\n#", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    return [name for row in rows for name in re.findall(r"`(\w+\.[\w.]+)`", row.split("|")[1])]
+
+
+def test_removed_names_are_gone():
+    removed = _removed_names()
+    assert "gaussian.CovarianceMatrix" in removed and "cli.cmd_verify" in removed
+    present = []
+    for dotted in removed:
+        first, *attrs, name = dotted.split(".")
+        owner = twinprobe if first == "twinprobe" else importlib.import_module(f"twinprobe.{first}")
+        for attr in attrs:
+            owner = getattr(owner, attr)
+        if hasattr(owner, name) or name in getattr(owner, "__all__", ()):
+            present.append(dotted)
+    assert present == []

@@ -9,6 +9,7 @@ from twinprobe.metrology import (
     f_min,
     phi_opt,
     sql,
+    t_minus_sin,
 )
 from twinprobe.sweep import (
     SweepSpec,
@@ -123,3 +124,15 @@ def test_optimal_kappa_matches_analytic_optimum():
     with pytest.raises(ValueError, match="tau_scaled") as err:
         optimal_kappa(-1.0, 1.0, 0.0)
     assert not isinstance(err.value, UndetectableForceError)
+
+
+def test_optimal_kappa_near_the_float_limits():
+    # 2 * (tau - sin tau) overflows from tau ~ 9e307 on, but the optimum does not
+    for tau in (1e307, 1e308, 1.7e308):
+        best = optimal_kappa(tau, 1.0, 20.0)
+        assert best.kappa == pytest.approx(1.0 / math.sqrt(2.0) / math.sqrt(tau), rel=1e-15)
+        assert best.f_min == pytest.approx(best.kappa, rel=1e-12)
+    # elsewhere the optimum keeps the bits of 1/sqrt(2 (tau - sin tau)),
+    # subnormal tau - sin tau (tau below ~6.4e-103) included
+    for tau in (6e-103, 1e-60, 1e-9, 0.01, PI / 2, 1.9, 2.0, 3.0, 1e3, 1e300):
+        assert optimal_kappa(tau, 1.0, 20.0).kappa == 1.0 / math.sqrt(2.0 * float(t_minus_sin(tau)))
