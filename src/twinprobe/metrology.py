@@ -120,7 +120,9 @@ def _noise(m: MeterParams, ratio, n_th, psi):
     if np.any(n_th < 0):
         raise ValueError(f"n_th must be nonnegative, got {n_th}")
     t = m.tau_scaled
-    k2 = m.kappa**2
+    # numpy's power: a float kappa above ~1.3e154 squares to inf, where
+    # Python's raises OverflowError; the bits are pow's, unlike kappa * kappa
+    k2 = np.float64(m.kappa) ** 2
     r2 = ratio**2
     spread = 1.0 / r2 + (r2 - 1.0 / r2) * np.sin(psi) ** 2
     probe = (0.5 + n_th) * (8.0 * k2 * np.sin(0.5 * t) ** 2 * spread)

@@ -12,9 +12,10 @@ step-halving differences.
 
 One RK4 step of v' = A v is the matrix polynomial P(hA), so n steps to one
 end time are P(hA)^n, computed by repeated squaring (``propagator``), for
-one drift or for a stack of cases in one loop.  The drive b is the column
-of the force coordinate, and the covariance is X C0 X^T for the propagator
-X (C. Van Loan, IEEE TAC 23:395, 1978).
+one drift or for a stack of cases, one squaring loop per distinct n on the
+cases that share it.  The drive b is the column of the force coordinate,
+and the covariance is X C0 X^T for the propagator X (C. Van Loan, IEEE
+TAC 23:395, 1978).
 
 The integration route shares no trigonometry with the closed forms.  One
 step-halving guard (``_settle``) picks every step: each propagator starts
@@ -140,47 +141,30 @@ def _check_step(step: float) -> None:
         raise ValueError(f"step must be finite and positive, got {step!r}")
 
 
-def _rows(cases: list[int], total: int):
-    """Index of ``cases`` in a stack of ``total``: a slice, not a copy, when it is all."""
-    return slice(None) if len(cases) == total else cases
-
-
 def _rk4_power(z: np.ndarray, n: list[int]) -> np.ndarray:
     """P(z)^n for a stack z of shape (cases, d, d), one count per case in ``n``.
 
     P(hA) = 1 + hA + ... + (hA)^4/24 is one RK4 step, and each power takes
     O(log n) products.  Powers are carried as E = P^k - 1, (1 + E)(1 + F) =
     1 + E + F + EF, so a small step's increment is not rounded away against
-    the identity.  Each squaring and product runs on the cases that still
-    need it, so a case's power has the same bits alone as in any stack;
-    n = 0 gives the identity.
+    the identity.  One squaring loop runs per distinct count, on the cases
+    that share it (a lone case as one d x d matrix), so a case's power has
+    the same bits alone as in any stack; n = 0 gives the identity.
     """
-    eye, total = np.eye(z.shape[-1]), len(n)
-    live = [i for i in range(total) if n[i]]
-    base, result, started = np.zeros(z.shape), np.zeros(z.shape), set()
-    if live:
-        rows = _rows(live, total)
-        z = z[rows]
-        base[rows] = z @ (eye + z @ (eye + z @ (eye + z / 4.0) / 3.0) / 2.0)
-    while live:
-        take = [i for i in live if n[i] & 1]
-        first = [i for i in take if i not in started]
-        more = [i for i in take if i in started]
-        started.update(first)
-        if first:
-            rows = _rows(first, total)
-            result[rows] = base[rows]
-        if more:
-            rows = _rows(more, total)
-            e, b = result[rows], base[rows]
-            result[rows] = e + b + e @ b
-        n = [k >> 1 for k in n]
-        live = [i for i in live if n[i]]
-        if live:
-            rows = _rows(live, total)
-            b = base[rows]
-            base[rows] = 2.0 * b + b @ b
-    return eye + result
+    eye = np.eye(z.shape[-1])
+    out = eye + np.zeros(z.shape)
+    for k in set(n) - {0}:
+        cases = [i for i, n_i in enumerate(n) if n_i == k]
+        s = z[cases[0]] if len(cases) == 1 else z[cases]
+        base = s @ (eye + s @ (eye + s @ (eye + s / 4.0) / 3.0) / 2.0)
+        result = None
+        for bit in range(k.bit_length()):
+            if bit:
+                base = 2.0 * base + base @ base
+            if k >> bit & 1:
+                result = base if result is None else result + base + result @ base
+        out[cases] = eye + result
+    return out
 
 
 def _steps(t: float, step: float) -> int:
@@ -300,8 +284,10 @@ def full_model_deviation(p: ProbeParams, step: float | None = None) -> tuple[flo
     against the adiabatic closed form.  The step guard starts at 1/300 of
     the detuning period, or at ``step`` if that is finer, and halves until
     the h and h/2 deviations agree to 1e-3 of the deviation, or to 1e-12; a
-    diverged run counts as unsettled.  Returns (the h/2 deviation, delta);
-    a guard that cannot settle within MAX_STEPS raises DomainError.
+    diverged run counts as unsettled.  Returns (the h/2 deviation, delta).
+    A start step that needs over MAX_STEPS raises ValueError, naming delta
+    where the detuning set it; a guard that cannot settle within MAX_STEPS
+    raises DomainError.
     """
     closed = prepare(p)
     if p.delta is None:
@@ -329,6 +315,11 @@ def full_model_deviation(p: ProbeParams, step: float | None = None) -> tuple[flo
     if step is not None:
         _check_step(step)
         h = min(h, step)
+    if h != step and t_off / h > MAX_STEPS:  # the refused start step is the detuning's
+        raise ValueError(
+            f"delta {p.delta!r} sets a start step {h!r} that needs over {MAX_STEPS} RK4 steps "
+            f"for t={t_off:g}"
+        )
     fine, _, settled = _settle(deviation, h, t_off, 1e-3, 1e-12)
     if not settled:
         raise DomainError(f"full-model step guard did not settle within {MAX_STEPS} steps")

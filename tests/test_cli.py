@@ -123,18 +123,24 @@ def test_entangle_stable_pair_does_not_underflow(launch_cli):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, says",
     [
-        ("--r", "2", "--full-model", "--delta", "1e13"),
-        ("--g-opt", "0", "--beta-abs", "1", "--delta", "0", "--full-model"),
-        ("--g-opt", "0", "--beta-abs", "0", "--delta", "0"),
-        ("--r", "2", "--temperature", "1", "--hbar-over-kb", "0"),
+        # the refused start step comes from the detuning, so the message names it
+        (
+            ("--r", "2", "--full-model", "--delta", "1e13"),
+            "delta 10000000000000.0 sets a start step ",
+        ),
+        (("--g-opt", "0", "--beta-abs", "1", "--delta", "0", "--full-model"), ""),
+        (("--g-opt", "0", "--beta-abs", "0", "--delta", "0"), ""),
+        (("--r", "2", "--temperature", "1", "--hbar-over-kb", "0"), ""),
+        (("--r", "2", "--full-model", "--step", "1e-300"), "step 1e-300 needs over"),
     ],
+    ids=[f"args{i}" for i in range(5)],
 )
-def test_refused_entangle_prints_nothing(launch_cli, args):
+def test_refused_entangle_prints_nothing(launch_cli, args, says):
     proc = launch_cli("entangle", *args)
     assert proc.returncode == 2
-    assert proc.stderr.startswith("config error: ")
+    assert proc.stderr.startswith("config error: " + says)
     assert proc.stdout == ""
 
 
@@ -912,8 +918,15 @@ def test_finite_result_near_the_float_limit(launch_cli, tmp_path, args, printed)
         (("fig2", "--axis-lo", "1e-320", "--points", "4"), "f_min"),
         (("fig1", "--axis-hi", "1e308", "--points", "4", "--jobs", "2"), "signal"),
         (("fig2", "--axis-lo", "1e-320", "--points", "3000", "--jobs", "2"), "f_min"),
+        # kappa_opt above ~1.3e154: its square overflows inside the noise
+        (("optimize-kappa", "--tau-scaled", "1e-103"), "noise"),
+        (("optimize-kappa", "--tau-scaled", "3e-108"), "noise"),
+        (("optimize-kappa", "--tau-scaled", "2.7e-103"), "noise"),
     ],
-    ids=["args2-noise", "args4-signal", "args5-f_min", "jobs2-signal", "jobs2-f_min"],
+    ids=[
+        "args2-noise", "args4-signal", "args5-f_min", "jobs2-signal", "jobs2-f_min",
+        "optimize-kappa-tau-1e-103", "optimize-kappa-tau-3e-108", "optimize-kappa-tau-2.7e-103",
+    ],
 )
 def test_non_finite_result_is_domain_error(launch_cli, tmp_path, args, quantity):
     out_csv = tmp_path / "x.csv"

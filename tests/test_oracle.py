@@ -395,6 +395,43 @@ def test_batched_propagator_matches_each_case_bitwise():
     stack = propagator(b, times, 1e-3)
     for x_t, t_one in zip(stack, times.tolist()):
         assert x_t.tobytes() == propagator(b, t_one, 1e-3).tobytes()
+    # counts shared by several cases and counts of one case, n = 0 twice, and
+    # one case that overflows; t / step is exact, so the counts are as listed
+    counts = [0, 3, 3, 8, 0, 3, 1000, 8, 5]
+    c = rng.normal(size=(len(counts), 4, 4))
+    c[6] *= 50.0
+    t = 0.25 * np.array(counts, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stack = propagator(c, t, 0.25)
+        alone = [propagator(c[i], float(t[i]), 0.25) for i in range(len(counts))]
+    assert not np.isfinite(stack[6]).all()
+    for i, x_i in enumerate(alone):
+        assert stack[i].tobytes() == x_i.tobytes(), i
+
+
+# float.hex of (deviation, delta) from full_model_deviation at (r, n_th, delta,
+# step): the eight full-model commands of the oracle bench's seeds 1 and 2, one
+# at the default detuning and one with a step finer than the detuning's.
+# Pinned from the propagator that tracked each case of a stack by index lists.
+FULL_MODEL_BITS = [
+    (9.92118, 4.96185, 2480.3, None, "0x1.a87529e9824cap-14", "0x1.360999999999ap+11"),
+    (1.0095, 19.2681, 252.375, None, "0x1.3ab11a8432fddp-19", "0x1.f8c0000000000p+7"),
+    (2.44422, 2.7128, 611.055, None, "0x1.91355c3c354cep-12", "0x1.31870a3d70a3dp+9"),
+    (1.30406, 12.2728, 326.015, None, "0x1.2e450e3b5a555p-14", "0x1.4603d70a3d70ap+8"),
+    (4.84521, 16.404, 1211.3, None, "0x1.feab35fcb868dp-15", "0x1.2ed3333333333p+10"),
+    (6.12721, 5.76742, 1531.8, None, "0x1.e76facd131213p-14", "0x1.7ef3333333333p+10"),
+    (1.18042, 14.2642, 295.105, None, "0x1.74dee1be24721p-15", "0x1.271ae147ae148p+8"),
+    (1.71718, 15.7236, 429.295, None, "0x1.6a300b2a7b7bfp-14", "0x1.ad4b851eb851fp+8"),
+    (3.7, 0.0, None, None, "0x1.4b7e75771740ap-8", "0x1.7200000000000p+8"),
+    (2.0, 5.0, 500.0, 1e-05, "0x1.ee41d285a7905p-13", "0x1.f400000000000p+8"),
+]
+
+
+@pytest.mark.parametrize("ratio, n_th, delta, step, dev, delta_out", FULL_MODEL_BITS)
+def test_full_model_deviation_keeps_every_bit(ratio, n_th, delta, step, dev, delta_out):
+    p = ProbeParams.from_squeeze_ratio(1.0, ratio, delta=delta, n_th=n_th)
+    got = full_model_deviation(p, step)
+    assert (got[0].hex(), got[1].hex()) == (dev, delta_out)
 
 
 @pytest.mark.parametrize(
