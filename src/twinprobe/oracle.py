@@ -12,8 +12,8 @@ step-halving differences.
 
 One RK4 step of v' = A v is the matrix polynomial P(hA), so n steps to one
 end time are P(hA)^n, computed by repeated squaring (``propagator``), for
-one drift or for a stack of cases, one squaring loop per distinct n on the
-cases that share it.  The drive b is the column of the force coordinate,
+one drift or for a stack of drifts that share the end time and the step,
+in one squaring loop.  The drive b is the column of the force coordinate,
 and the covariance is X C0 X^T for the propagator X (C. Van Loan, IEEE
 TAC 23:395, 1978).
 
@@ -141,59 +141,42 @@ def _check_step(step: float) -> None:
         raise ValueError(f"step must be finite and positive, got {step!r}")
 
 
-def _rk4_power(z: np.ndarray, n: list[int]) -> np.ndarray:
-    """P(z)^n for a stack z of shape (cases, d, d), one count per case in ``n``.
+def _rk4_power(z: np.ndarray, n: int) -> np.ndarray:
+    """P(z)^n for z of shape (..., d, d), by repeated squaring.
 
-    P(hA) = 1 + hA + ... + (hA)^4/24 is one RK4 step, and each power takes
+    P(hA) = 1 + hA + ... + (hA)^4/24 is one RK4 step, and the power takes
     O(log n) products.  Powers are carried as E = P^k - 1, (1 + E)(1 + F) =
     1 + E + F + EF, so a small step's increment is not rounded away against
-    the identity.  One squaring loop runs per distinct count, on the cases
-    that share it (a lone case as one d x d matrix), so a case's power has
-    the same bits alone as in any stack; n = 0 gives the identity.
+    the identity.  n = 0 gives the identity.
     """
     eye = np.eye(z.shape[-1])
-    out = eye + np.zeros(z.shape)
-    for k in set(n) - {0}:
-        cases = [i for i, n_i in enumerate(n) if n_i == k]
-        s = z[cases[0]] if len(cases) == 1 else z[cases]
-        base = s @ (eye + s @ (eye + s @ (eye + s / 4.0) / 3.0) / 2.0)
-        result = None
-        for bit in range(k.bit_length()):
-            if bit:
-                base = 2.0 * base + base @ base
-            if k >> bit & 1:
-                result = base if result is None else result + base + result @ base
-        out[cases] = eye + result
-    return out
+    if not n:
+        return eye + np.zeros(z.shape)
+    base = z @ (eye + z @ (eye + z @ (eye + z / 4.0) / 3.0) / 2.0)
+    result = None
+    for bit in range(n.bit_length()):
+        if bit:
+            base = 2.0 * base + base @ base
+        if n >> bit & 1:
+            result = base if result is None else result + base + result @ base
+    return eye + result
 
 
-def _steps(t: float, step: float) -> int:
-    """n = ceil(t / step) <= MAX_STEPS, the RK4 steps of one propagator."""
+def propagator(a, t, step) -> np.ndarray:
+    """Fixed-step RK4 propagator of v' = a @ v from 0 to the end time ``t``.
+
+    The interval is split into n = ceil(t / step) <= MAX_STEPS equal steps.
+    ``a`` may be a stack of drifts of shape (..., d, d) that share ``t`` and
+    ``step``; each drift's propagator has the same bits as its own call.
+    """
+    t, step = float(t), float(step)
     _check_step(step)
     if not t >= 0:  # also catches nan
         raise ValueError(f"t must be nonnegative, got {t!r}")
     if t / step > MAX_STEPS:  # also catches inf
         raise ValueError(f"step {step!r} needs over {MAX_STEPS} RK4 steps for t={t:g}")
-    return math.ceil(t / step)
-
-
-def propagator(a, t, step) -> np.ndarray:
-    """Fixed-step RK4 propagator of v' = a @ v from 0 to ``t``.
-
-    The interval is split into n = ceil(t / step) <= MAX_STEPS equal steps.
-    ``a`` may be a stack of drifts of shape (..., d, d): ``t`` and ``step``
-    broadcast over its leading axes, each case gets its own n, and the
-    result, of the broadcast shape + (d, d), holds each case's propagator
-    to the same bits as its own call.  The first refused case raises
-    ValueError.
-    """
-    a = np.asarray(a, dtype=float)
-    shape = np.broadcast(np.empty(a.shape[:-2]), t, step).shape
-    t, step = (np.full(shape, x, dtype=float).ravel().tolist() for x in (t, step))
-    n = [_steps(t_i, step_i) for t_i, step_i in zip(t, step)]
-    h = np.array([t_i / n_i if n_i else 0.0 for t_i, n_i in zip(t, n)]).reshape(shape + (1, 1))
-    d = a.shape[-1]
-    return _rk4_power((h * a).reshape(-1, d, d), n).reshape(shape + (d, d))
+    n = math.ceil(t / step)
+    return _rk4_power((t / n if n else 0.0) * np.asarray(a, dtype=float), n)
 
 
 def _rel(value: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -209,16 +192,17 @@ def _rel(value: np.ndarray, reference: np.ndarray) -> np.ndarray:
 def _settle(measure, step, span, rtol: float, atol: float = 0.0):
     """The step-halving guard: halve h until ``measure`` at h and h/2 agree.
 
-    ``span`` holds each case's end time and broadcasts with ``step``.  Each
-    case starts at ``step`` or 1/8 of its span if that is finer, so every
-    halving halves every case's step.  ``measure`` maps those steps to an
+    ``span`` holds the end times and broadcasts with ``step``.  Each end
+    time's step starts at ``step`` or 1/8 of the end time if that is finer,
+    so every halving halves every step.  ``measure`` maps those steps to an
     array whose last two axes are compared by ``_rel``; a case agrees where
     that difference is at most rtol, or the absolute one at most atol.  Halving
     stops where h/2 would need more than MAX_STEPS over a span.  Returns the
     h/2 value, each case's difference, and whether every case agreed.
     """
     span = np.asarray(span, dtype=float)
-    h = np.minimum(step, np.where(span > 0, span / 8.0, np.inf))
+    # a subnormal span's eighth can round to 0: such a span starts at ``step``
+    h = np.minimum(step, np.where(span / 8.0 > 0, span / 8.0, np.inf))
     fine = measure(h)
     diff, settled = np.full(np.shape(fine)[:-2], math.inf), False
     while not settled and np.max(span / (h / 2.0)) <= MAX_STEPS:
@@ -230,9 +214,9 @@ def _settle(measure, step, span, rtol: float, atol: float = 0.0):
     return fine, diff, settled
 
 
-# The covariance ``integrate_moments`` returns, as ``.matrix``.  Only
-# bench/layers.py:176 still reads it; ROADMAP item 8 switches that probe to
-# the array, and item 10 then deletes this holder and integrate_moments.
+# The covariance ``integrate_moments`` returns, as ``.matrix``.  Only the bench's
+# ``oracle.full_model_s`` probe still reads it; ROADMAP item 8 switches that
+# probe to the array, and item 10 then deletes this holder and integrate_moments.
 _Covariance = namedtuple("_Covariance", ["matrix"])
 
 
@@ -444,7 +428,7 @@ def _check_entangler(grid: VerifyGrid) -> list[CheckResult]:
         states = [thermal_covariance(n_th) for n_th in grid.n_ths]
 
         def measure(steps):
-            xs = propagator(drift, times, steps)
+            xs = [propagator(drift, t, h) for t, h in zip(times, steps)]
             covs = [0.5 * (c + c.T) for c in (xs[-1] @ c0 @ xs[-1].T for c0 in states)]
             return np.reshape([*xs[:n_t], *covs], (-1, 4, 4))
 
@@ -484,7 +468,7 @@ def _check_readout(
 
         shape = (len(grid.kappas), len(grid.taus))
         kappa, tau = np.array(grid.kappas)[:, None], np.array(grid.taus)
-        drifts = np.array([build_measurement_system(k) for k in grid.kappas])[:, None]
+        drifts = np.array([build_measurement_system(k) for k in grid.kappas])
         # axes (kappa, tau, ratio, n_th, phi mode); the probes start in the
         # rotated entangled state and the meters in vacuum
         phi = np.where([mode == "opt" for mode in grid.phi_modes], phi_opt(tau)[:, None], 0.0)
@@ -500,7 +484,7 @@ def _check_readout(
 
         def measure(steps):
             # (kappa, tau, 9, 9) propagators of the readout with a unit force column
-            x = propagator(drifts, tau, steps)
+            x = np.stack([propagator(drifts, t, h) for t, h in zip(tau, steps)], axis=1)
             # Y1 + Y2 at tau as a row over the initial (q1, p1, q2, p2, X1, Y1, X2, Y2, f)
             v = x[..., 5, :] + x[..., 7, :]
             noises = np.einsum(
@@ -509,8 +493,7 @@ def _check_readout(
             ) + VACUUM_VARIANCE * np.sum(v[..., 4:8] ** 2, axis=-1)[..., None, None, None]
             return blocks(v[..., 8], noises)
 
-        span = np.broadcast_to(tau, shape)
-        value, diff, _ = _settle(measure, math.pi / 2048.0, span, tolerance / 10.0)
+        value, diff, _ = _settle(measure, math.pi / 2048.0, tau, tolerance / 10.0)
         diffs = np.max(diff, axis=-1)
         meter = MeterParams(
             kappa[..., None, None, None], tau[:, None, None, None], phi[:, None, None]

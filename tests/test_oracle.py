@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mp_expm, symplectic_form
@@ -18,7 +18,7 @@ from twinprobe.dynamics import (
     thermal_covariance,
     transfer_matrix,
 )
-from twinprobe.gaussian import direct_sum, vacuum
+from twinprobe.gaussian import VACUUM_VARIANCE, direct_sum, vacuum
 from twinprobe.metrology import MeterParams, noise, phi_opt, signal_coeff
 from twinprobe.oracle import (
     IntegrationDivergedError,
@@ -30,6 +30,7 @@ from twinprobe.oracle import (
     propagator,
     verify_closed_forms,
 )
+from twinprobe.sweep import fmin_columns
 
 PI = math.pi
 
@@ -377,34 +378,23 @@ def test_propagator_matches_stepwise_rk4(n, drive):
 
 
 def test_batched_propagator_matches_each_case_bitwise():
-    # a (3, 1) stack of drifts against four end times: the cases take from
-    # 0 (t = 0) to 2000 steps, so their bit patterns differ at every squaring
+    # a (3, 2) stack of drifts under one end time and step each: from 0
+    # (t = 0) to 2000 steps, so the bit patterns differ at every squaring
     rng = np.random.default_rng(23)
-    a = rng.normal(size=(3, 1, 5, 5))
-    t = np.array([0.0, 0.3, 1.3, 2.0])
-    step = np.array([[0.1], [0.013], [1e-3]])
-    x = propagator(a, t, step)
-    assert x.shape == (3, 4, 5, 5)
-    for i, j in np.ndindex(3, 4):
-        alone = propagator(a[i, 0], float(t[j]), float(step[i, 0]))
-        assert x[i, j].tobytes() == alone.tobytes(), (i, j)
-    assert np.array_equal(x[:, 0], np.broadcast_to(np.eye(5), (3, 5, 5)))
-    # one drift broadcast over times, as the entangler check powers it
-    b = build_entangler_system(ProbeParams.from_squeeze_ratio(1.0, 3.0))
-    times = np.array([0.35, 5.9, 0.0, 1.0])
-    stack = propagator(b, times, 1e-3)
-    for x_t, t_one in zip(stack, times.tolist()):
-        assert x_t.tobytes() == propagator(b, t_one, 1e-3).tobytes()
-    # counts shared by several cases and counts of one case, n = 0 twice, and
-    # one case that overflows; t / step is exact, so the counts are as listed
-    counts = [0, 3, 3, 8, 0, 3, 1000, 8, 5]
-    c = rng.normal(size=(len(counts), 4, 4))
-    c[6] *= 50.0
-    t = 0.25 * np.array(counts, dtype=float)
+    a = rng.normal(size=(3, 2, 5, 5))
+    for t, step in ((0.0, 0.1), (0.3, 0.1), (1.3, 0.013), (2.0, 1e-3)):
+        x = propagator(a, t, step)
+        assert x.shape == (3, 2, 5, 5)
+        for i, j in np.ndindex(3, 2):
+            assert x[i, j].tobytes() == propagator(a[i, j], t, step).tobytes(), (t, i, j)
+    assert np.array_equal(propagator(a, 0.0, 0.1), np.broadcast_to(np.eye(5), (3, 2, 5, 5)))
+    # one case of the stack overflows at 200 steps; the others stay finite
+    c = rng.normal(size=(4, 4, 4))
+    c[2] *= 50.0
     with np.errstate(over="ignore", invalid="ignore"):
-        stack = propagator(c, t, 0.25)
-        alone = [propagator(c[i], float(t[i]), 0.25) for i in range(len(counts))]
-    assert not np.isfinite(stack[6]).all()
+        stack = propagator(c, 50.0, 0.25)
+        alone = [propagator(c_i, 50.0, 0.25) for c_i in c]
+    assert [np.isfinite(x_i).all() for x_i in stack] == [True, True, False, True]
     for i, x_i in enumerate(alone):
         assert stack[i].tobytes() == x_i.tobytes(), i
 
@@ -443,9 +433,13 @@ def test_full_model_deviation_keeps_every_bit(ratio, n_th, delta, step, dev, del
         (-1.0, 0.1, "t must be nonnegative, got -1.0"),
         (1.0, 1e-320, "step 1e-320 needs over 1099511627776 RK4 steps for t=1"),
         (math.inf, 0.1, "step 0.1 needs over 1099511627776 RK4 steps for t=inf"),
-        # a stack is refused at its first refused case
-        ([1.0, -2.0, -3.0], 0.1, "t must be nonnegative, got -2.0"),
-        ([1.0, 3.0], [0.1, 1e-12], "step 1e-12 needs over 1099511627776 RK4 steps for t=3"),
+        # numpy scalars, as the step guard passes them, print as Python floats
+        (np.float64(-2.0), 0.1, "t must be nonnegative, got -2.0"),
+        (
+            np.float64(3.0),
+            np.float64(1e-300),
+            "step 1e-300 needs over 1099511627776 RK4 steps for t=3",
+        ),
     ],
 )
 def test_propagator_refusals_name_the_case(t, step, message):
@@ -558,3 +552,50 @@ def test_oracle_matches_closed_forms_everywhere(ratio, n_th, kappa, tau):
     w[5] = w[7] = 1.0
     assert w @ mean == pytest.approx(signal_coeff(m), rel=1e-8)
     assert w @ cov.matrix @ w == pytest.approx(noise(m, ratio, n_th), rel=1e-8)
+
+
+def staged_fmin(ratio, n_th, kappa, tau, phi):
+    """f_min of one run composed from the oracle's stages alone, at the settled step.
+
+    The thermal state goes through the entangler to switch-off, rotates by
+    free evolution for (phi mod 2 pi) / omega, and is read out; the meters
+    start in vacuum.  Each stage starts at its verify check's step.
+    """
+    p = ProbeParams.from_squeeze_ratio(1.0, ratio)
+    theta = relative_mode_frequency(p)
+    drifts, spans, steps = zip(
+        (build_entangler_system(p), PI / (2.0 * theta), (2.0 * PI / theta) / 2048.0),
+        (build_entangler_system(ProbeParams(1.0)), phi % (2.0 * PI), PI / 2048.0),
+        (build_measurement_system(kappa), tau, PI / 2048.0),
+    )
+    c0 = thermal_covariance(n_th)
+
+    def measure(h):
+        entangler, rotation, readout = map(propagator, drifts, spans, h)
+        x = rotation @ entangler
+        v = readout[5] + readout[7]  # Y1 + Y2 over (q1, p1, q2, p2, X1, Y1, X2, Y2, f)
+        variance = v[:4] @ x @ c0 @ x.T @ v[:4] + VACUUM_VARIANCE * v[4:8] @ v[4:8]
+        return np.full((1, 1), math.sqrt(variance) / abs(v[8]))
+
+    value, _, settled = oracle._settle(measure, np.array(steps), np.array(spans), 1e-9)
+    assert settled
+    return float(value[0, 0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ratio=st.floats(1.0, 1e3),
+    n_th=st.floats(0.0, 1e3),
+    kappa=st.floats(0.05, 5.0),
+    tau=st.floats(1e-6, 2.0 * PI),
+    phi=st.floats(-PI, PI),
+)
+# a subnormal rotation time, whose eighth rounds to 0 in the step guard
+@example(ratio=1.0, n_th=0.0, kappa=1.0, tau=1.0, phi=5e-324)
+def test_one_run_through_the_oracle_stages_matches_fmin_columns(ratio, n_th, kappa, tau, phi):
+    # no closed form enters the run: a sign or ordering slip between the
+    # stages would show here although every verify family passes
+    closed = fmin_columns(tau, kappa, ratio, n_th, phi)
+    assert staged_fmin(ratio, n_th, kappa, tau, phi) == pytest.approx(closed["f_min"], rel=1e-8)
+    # f_sql is f_min of uncoupled ground-state probes
+    assert staged_fmin(1.0, 0.0, kappa, tau, phi) == pytest.approx(closed["f_sql"], rel=1e-8)
