@@ -213,27 +213,23 @@ def _g(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _write_chunks(key: str, path: str, chunks) -> None:
-    """Write byte strings to an output file one after another.
+def _write_file(key: str, path: str, write) -> None:
+    """Open an output file for binary writing and call ``write`` on it.
 
     A path that cannot be written is an error in setting ``key``.
     """
     try:
         with open(path, "wb") as fh:
-            fh.writelines(chunks)
+            write(fh)
     except OSError as exc:
         raise ConfigError(f"cannot write {key} {path}: {exc.strerror}") from None
 
 
 def _write_csv(path: str, axis: str, columns, jobs: int = 1) -> None:
     """Write sweep columns as CSV, formatted by ``jobs`` processes (see ``_csv``)."""
-    from ._csv import csv_chunks
+    from ._csv import write_csv
 
-    chunks = csv_chunks(axis, columns, jobs)
-    try:
-        _write_chunks("out", path, chunks)
-    finally:
-        chunks.close()  # reaps the workers when the file could not be written
+    _write_file("out", path, lambda fh: write_csv(fh, axis, columns, jobs))
 
 
 def _write_gnuplot(path: str, csv_path: str, spec: SweepSpec) -> None:
@@ -257,7 +253,8 @@ def _write_gnuplot(path: str, csv_path: str, spec: SweepSpec) -> None:
             "with lines dashtype 2 title 'SQL'"
         )
     lines.append("plot \\\n  " + ", \\\n  ".join(plots))
-    _write_chunks("gnuplot", path, [("\n".join(lines) + "\n").encode("utf-8")])
+    text = ("\n".join(lines) + "\n").encode("utf-8")
+    _write_file("gnuplot", path, lambda fh: fh.write(text))
 
 
 def cmd_entangle(cfg: RunConfig) -> bool:

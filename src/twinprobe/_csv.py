@@ -9,7 +9,7 @@ import os
 
 import numpy as np
 
-__all__ = ["BLOCK_ROWS", "csv_chunks"]
+__all__ = ["BLOCK_ROWS", "write_csv"]
 
 # Rows formatted per block: the writer's memory depends on this, not on the
 # row count.
@@ -17,63 +17,47 @@ BLOCK_ROWS = 4096
 HEADER = b"axis,r,phi_opt,signal,noise,f_min,f_sql\n"
 
 
-def csv_chunks(axis: str, columns, jobs: int = 1):
-    """The CSV bytes of sweep columns: the header, then each block in order.
+def write_csv(fh, axis: str, columns, jobs: int = 1) -> None:
+    """Write the CSV of sweep columns to ``fh``: the header, then each block in order.
 
     ``columns`` maps the quantities of ``sweep.fmin_columns`` to arrays of
     at most two dimensions that broadcast to (points, ratios); rows run in C
     order.  Block i comes from process i % n, n = min(jobs, blocks, CPUs
     this process may use): this one, or a forked worker that formats its
     blocks while the earlier ones are written.  The workers start after the
-    header and are all reaped before this generator ends or is closed.
-    This process formats the blocks itself where ``os.fork`` is missing,
-    where it runs more than one OS thread or cannot count them, or where a
-    fork fails or a worker stops early, so the bytes are the same for any
-    ``jobs``.
+    header and are all reaped before this function returns or raises.
+    This process formats the blocks itself where it runs more than one OS
+    thread or cannot count them, or where a fork fails or a worker stops
+    early, so the bytes are the same for any ``jobs``.
     """
     count, block = _blocks(axis, columns)
-    yield HEADER
-    n = min(jobs, count, _cpus()) if hasattr(os, "fork") else 1
-    if n > 1 and _threads() != 1:
-        # a fork copies only this thread, and a lock that another one holds
-        # stays held in the child
-        n = 1
+    fh.write(HEADER)
+    # A fork copies only this thread, and a lock that another one holds stays
+    # held in the child.  Threads are counted only where /proc lists them,
+    # on Linux, which has os.fork and os.sched_getaffinity.
+    n = min(jobs, count, len(os.sched_getaffinity(0))) if jobs > 1 and _threads() == 1 else 1
     readers = [None]
     pids = []
     try:
         for first in range(1, n):
             fd_read, fd_write = os.pipe()
+            readers.append(open(fd_read, "rb"))
             try:
                 pid = os.fork()
-            except OSError:
-                pid = None
-            if pid == 0:
-                inherited = [fd_read] + [reader.fileno() for reader in readers if reader]
-                _send_blocks(block, range(first, count, n), fd_write, inherited)
-            os.close(fd_write)
-            if pid is None:
-                os.close(fd_read)
-                readers.append(None)
-            else:
+                if pid == 0:
+                    _send_blocks(block, range(first, count, n), fd_write, readers[1:])
                 pids.append(pid)
-                readers.append(open(fd_read, "rb"))
+            except OSError:
+                pass  # an empty pipe: this process formats the blocks
+            os.close(fd_write)
         for i in range(count):
             reader = readers[i % n]
-            data = _received(reader) if reader else None
-            yield data or block(i)
+            fh.write((reader and _received(reader)) or block(i))
     finally:
         for reader in readers[1:]:
-            if reader:
-                reader.close()  # a worker still writing gets EPIPE and exits
+            reader.close()  # a worker still writing gets EPIPE and exits
         for pid in pids:
             os.waitpid(pid, 0)
-
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _threads() -> int:
@@ -124,18 +108,18 @@ def _blocks(axis: str, columns):
     return -(-points // step), block
 
 
-def _send_blocks(block, blocks, fd: int, inherited) -> None:
+def _send_blocks(block, blocks, fd: int, readers) -> None:
     """In a forked worker: send each of ``blocks`` down pipe ``fd``, then exit.
 
     Each block goes as its length in 8 bytes, then its bytes.  The worker
-    closes the read ends it inherited, so a pipe whose reader is gone
+    closes the ``readers`` it inherited, so a pipe whose reader is gone
     fails its writer, and leaves only through ``os._exit``: it must not
     flush the buffers or run the cleanup of the process it was forked from.
     """
     code = 1
     try:
-        for other in inherited:
-            os.close(other)
+        for reader in readers:
+            os.close(reader.fileno())
         with open(fd, "wb") as pipe:
             for i in blocks:
                 data = block(i)

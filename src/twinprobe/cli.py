@@ -12,9 +12,9 @@ config file (``--config`` flag or the TWINPROBE_CONFIG variable), then
 Later layers win.  Unknown config keys and unknown TWINPROBE_* variables
 are rejected rather than ignored, and so is a setting that is not finite.
 
-Exit codes: 0 success, 2 configuration error, 3 physics domain error
-(unstable regime, vanishing signal, diverged integration), 4 closed-form
-verification failure.
+Exit codes: 0 success, 1 stdout closed before all output was written, 2
+configuration error, 3 physics domain error (unstable regime, vanishing
+signal, diverged integration), 4 closed-form verification failure.
 
 What each entry point compiles: the ``twinprobe`` script and ``python -m
 twinprobe.cli`` compile this module and ``_common`` (``python -m twinprobe``
@@ -38,6 +38,7 @@ from ._common import _SETTINGS, ConfigError, DomainError, RunConfig, _parse_bool
 __all__ = ["ConfigError", "RunConfig", "build_parser", "main"]
 
 EXIT_OK = 0
+EXIT_CLOSED_STDOUT = 1
 EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
@@ -102,6 +103,20 @@ def build_parser(command: str | None = None, alone: bool = False) -> argparse.Ar
     return parser
 
 
+def _flushed() -> bool:
+    """Flush stdout, and say whether its reader took everything.
+
+    Where the reader has gone, stdout is pointed at devnull, as Python's
+    ``signal`` docs advise, so the flush at interpreter exit cannot fail.
+    """
+    try:
+        print(end="", flush=True)  # print skips a sys.stdout that is None
+        return True
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return False
+
+
 def main(argv=None) -> int:
     if "numpy" not in sys.modules:
         # No command multiplies anything larger than 9x9, so OpenBLAS's
@@ -111,18 +126,27 @@ def main(argv=None) -> int:
     # The top-level parser takes no option with a value, so the first word
     # that is not an option names the subcommand.
     command = next((word for word in argv if not word.startswith("-")), "")
-    args = build_parser(command, alone=argv[:1] == [command]).parse_args(argv)
+    try:
+        args = build_parser(command, alone=argv[:1] == [command]).parse_args(argv)
+    except SystemExit:
+        _flushed()  # --help exits 0 whether or not stdout's reader stayed
+        raise
     from . import _commands
 
     try:
         cfg = build_config(args)
         passed = getattr(_commands, "cmd_" + args.command.replace("-", "_"))(cfg)
+    except BrokenPipeError:
+        _flushed()
+        return EXIT_CLOSED_STDOUT
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if not _flushed():
+        return EXIT_CLOSED_STDOUT
     return EXIT_OK if passed else EXIT_VERIFY
 
 

@@ -393,14 +393,23 @@ def test_unwritable_output_is_config_error(launch_cli, monkeypatch, tmp_path, ar
     assert_no_child_process()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_device_is_config_error(launch_cli, monkeypatch):
+    # the write fails while a worker formats its blocks
+    fork_on_any_host(monkeypatch)
+    proc = launch_cli("fig1", "--points", "20000", "--jobs", "2", "--out", "/dev/full")
+    assert proc == (2, "", "config error: cannot write out /dev/full: No space left on device\n")
+    assert_no_child_process()
+
+
 def fork_on_any_host(monkeypatch):
     """Let ``--jobs`` fork its workers in this process, whatever the host.
 
-    The CPU count is pinned above every ``--jobs`` the tests give, and the
-    thread count to one: this process runs more threads than a command line
-    process, where the OpenBLAS pin leaves one.
+    The CPU affinity is pinned above every ``--jobs`` the tests give, and
+    the thread count to one: this process runs more threads than a command
+    line process, where the OpenBLAS pin leaves one.
     """
-    monkeypatch.setattr(_csv, "_cpus", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     monkeypatch.setattr(_csv, "_threads", lambda: 1)
 
 
@@ -438,14 +447,14 @@ def test_csv_determinism(launch_cli, monkeypatch, tmp_path):
     monkeypatch.setattr(os, "fork", failed_fork)
     assert csv("fig1", "--jobs", "3") == want
     # with one CPU, --jobs 4 forks no worker
-    monkeypatch.setattr(_csv, "_cpus", lambda: 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked a worker with one CPU"))
     assert csv("fig1", "--jobs", "4") == want
 
 
 def test_jobs_stay_serial_beside_another_thread(launch_cli, monkeypatch, tmp_path):
-    # a fork would copy a lock this thread holds; the CPU count alone allows one
-    monkeypatch.setattr(_csv, "_cpus", lambda: 8)
+    # a fork would copy a lock this thread holds; the CPU affinity alone allows one
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     out = tmp_path / "out.csv"
     assert launch_cli("fig1", "--points", "5000", "--out", str(out)).returncode == 0
     want = out.read_bytes()
@@ -732,6 +741,49 @@ def test_console_script_entry_point():
     assert "f_min" in proc.stdout
 
 
+# The commands that print, each with a stdout whose reader is gone; fig1
+# prints after it has written its CSV.
+CLOSED_STDOUT_ARGVS = [
+    ["fmin"],
+    ["verify"],
+    ["entangle", "--r", "2"],
+    ["budget"],
+    ["optimize-kappa"],
+    ["dump-config"],
+    ["fig1", "--points", "4", "--out", "x.csv"],
+    ["--help"],
+]
+
+
+@pytest.mark.parametrize("argv", CLOSED_STDOUT_ARGVS, ids=" ".join)
+def test_closed_stdout_ends_quietly(tmp_path, argv):
+    # The reader is closed before the start, so every write to stdout fails.
+    # A buffered stdout fails at the last flush, an unbuffered one at the
+    # first print; the two processes run at once, each in its own directory.
+    read, write = os.pipe()
+    os.close(read)
+    procs = {}
+    try:
+        for mode in ("buffered", "unbuffered"):
+            env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+            env.pop("PYTHONUNBUFFERED", None)
+            if mode == "unbuffered":
+                env["PYTHONUNBUFFERED"] = "1"
+            (tmp_path / mode).mkdir()
+            procs[mode] = subprocess.Popen(
+                [sys.executable, "-m", "twinprobe.cli", *argv],
+                stdout=write, stderr=subprocess.PIPE, text=True, env=env, cwd=tmp_path / mode,
+            )
+    finally:
+        os.close(write)
+    for mode, proc in procs.items():
+        _, err = proc.communicate(timeout=60)
+        # --help keeps argparse's exit 0
+        assert (mode, proc.returncode, err) == (mode, 0 if argv == ["--help"] else 1, "")
+        if argv[0] == "fig1":
+            assert (tmp_path / mode / "x.csv").read_text().count("\n") == 1 + 4 * 3
+
+
 B = _csv.BLOCK_ROWS
 CSV_FIELDS = ("ratio", "phi", "signal", "noise", "f_min", "f_sql")
 
@@ -834,6 +886,50 @@ def test_too_few_points_is_config_error_for_every_command(launch_cli, tmp_path, 
     proc = launch_cli(command, "--points", points)
     assert proc == (2, "", f"config error: points must be at least 2, got {points}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+# exit code and stderr of refusals that no other test reaches
+REFUSALS = [
+    (("fmin", "--signal-variant", "foo"), 2,
+     "config error: signal_variant must be one of ('consistent', 'printed'), got 'foo'"),
+    (("fmin", "--phi", "abc"), 2, "config error: phi must be 'opt' or a finite number, got 'abc'"),
+    (("fig1", "--r-list", ","), 2, "config error: r_list is empty: ','"),
+    (("fig1", "--r-list", "a,b"), 2,
+     "config error: r_list must be comma-separated numbers, got 'a,b'"),
+    (("entangle", "--g-opt", "1"), 2,
+     "config error: raw coupling needs all of --g-opt, --beta-abs, --delta"),
+    (("entangle", "--r", "2", "--omega", "0"), 2, "config error: omega must be positive, got 0.0"),
+    (("fmin", "--r", "0.5"), 2, "config error: squeeze ratio must be >= 1, got 0.5"),
+    (("fmin", "--n-th", "-1"), 2, "config error: n_th must be nonnegative, got -1.0"),
+    (("fmin", "--tau-scaled", "-1"), 2, "config error: tau_scaled must be nonnegative, got -1.0"),
+    (("budget", "--phi", "0.3", "--tau-scaled", "-1"), 2,
+     "config error: tau must be nonnegative, got -1.0"),
+    (("fig1", "--kappa", "-1"), 2, "config error: held kappa and tau_scaled must be positive"),
+    (("fig1", "--n-th", "-1"), 2, "config error: n_th must be nonnegative, got -1.0"),
+    (("fmin", "--config", "bad.cfg"), 2,
+     "config error: bad.cfg: bad value for 'points': "
+     "invalid literal for int() with base 10: 'abc'"),
+    (("fmin", "--config", "missing.cfg"), 2,
+     "config error: cannot read config file missing.cfg: "),
+    (("TWINPROBE_INCLUDE_SQL=maybe", "fmin"), 2,
+     "config error: TWINPROBE_INCLUDE_SQL: bad value for 'include_sql': not a boolean: 'maybe'"),
+    (("entangle", "--coupling-chi", "-0.1"), 3,
+     "domain error: coupling must not soften the relative mode: ratio 0.8944271909999159 < 1"),
+]
+
+
+@pytest.mark.parametrize("args, code, err", REFUSALS, ids=[" ".join(case[0]) for case in REFUSALS])
+def test_refusals_print_their_text(launch_cli, tmp_path, args, code, err):
+    # A NAME=value word sets an environment variable, as in the shell.
+    (tmp_path / "bad.cfg").write_text("points = abc\n")
+    env = dict(word.split("=", 1) for word in args if "=" in word)
+    proc = launch_cli(*(word for word in args if "=" not in word), env_extra=env)
+    assert (proc.returncode, proc.stdout) == (code, "")
+    if "missing.cfg" in args:  # the rest is the operating system's text
+        assert proc.stderr.startswith(err)
+    else:
+        assert proc.stderr == err + "\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "bad.cfg"]
 
 
 def test_points_cap_accepts_the_cap(launch_cli):
