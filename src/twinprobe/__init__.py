@@ -14,8 +14,9 @@ Import each name from its home module, the one whose ``__all__`` lists
 it: ``from twinprobe.dynamics import ProbeParams``.  The package itself
 loads no submodule, so ``import twinprobe`` starts without numpy.
 
-Conventions: quadrature ordering (q1, p1, q2, p2, ...), [q, p] = i, so
-vacuum variance is 1/2.  Times tagged ``_scaled`` are in units of
+Conventions: quadrature ordering (q1, p1, q2, p2, ...), vacuum variance
+1/2, and [q, p] = i for the probes but i/2 for the cavity and the meters
+(the table in ``gaussian``).  Times tagged ``_scaled`` are in units of
 1/omega.
 """
 

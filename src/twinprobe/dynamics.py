@@ -208,12 +208,13 @@ class EntanglerOutput(
     In units where the collective vacuum variance is 1, the squeezed
     relative variance Var(q1 - q2) is (1 + 2 n_th) / ratio**2 and the
     total variance Var(p1 + p2) stays thermal, 1 + 2 n_th.
-    ``squeeze_margin`` is ratio**2 - (1 + 2 n_th); the state is entangled
-    when it is positive, i.e. when the squeezed collective variance drops
-    below the collective vacuum level.  The EPR variance product
-    Var(q1-q2) * Var(p1+p2) is reported alongside, for its strict
-    criterion (< 1): the two tests coincide at n_th = 0, but the product
-    test is strictly more demanding at n_th > 0.
+    ``squeeze_margin`` is ratio**2 - (1 + 2 n_th), and ``entangled`` is
+    the squeeze-margin test: positive when the squeezed collective variance
+    drops below the collective vacuum level.  That is not separability.
+    For this state the separability (PPT) verdict is the EPR variance
+    product Var(q1-q2) * Var(p1+p2) < 1, i.e. ratio > 1 + 2 n_th (Simon,
+    PRL 84, 2726, 2000).  The two coincide at n_th = 0; at n_th > 0 a
+    positive margin may come with a separable state.
     """
 
     __slots__ = ()

@@ -105,16 +105,12 @@ def noise(m: MeterParams, ratio, n_th):
     The probe pair's collective quadratures, rotated by phi onto the
     readout, plus the meter back-action and the meters' shot floor:
     (1/2 + n_th) 8 kappa^2 sin^2(tau/2) (cos^2 psi / r^2 + r^2 sin^2 psi)
-    + (2 kappa^2 (tau - sin tau))^2 + 1, with psi = phi - phi_opt(tau) and
-    the bracket summed as 1/r^2 + (r^2 - 1/r^2) sin^2 psi.  So psi is
-    exactly 0 at ``phi = phi_opt(tau)``, where the antisqueezed term leaves
-    the readout, and at ratio 1 phi drops out.  Always >= 1.
+    + (2 kappa^2 (tau - sin tau))^2 + 1, with the offset psi = phi -
+    phi_opt(tau) taken here and the bracket summed as 1/r^2 + (r^2 - 1/r^2)
+    sin^2 psi.  So psi is exactly 0 at ``phi = phi_opt(tau)``, where the
+    antisqueezed term leaves the readout, and at ratio 1 the psi term is
+    multiplied by exactly 0: for any finite phi the bracket is 1.  Always >= 1.
     """
-    return _noise(m, ratio, n_th, m.phi - phi_opt(m.tau_scaled))
-
-
-def _noise(m: MeterParams, ratio, n_th, psi):
-    """``noise`` at the phase offset ``psi`` = phi - phi_opt(tau), already taken."""
     if np.any(ratio < 1.0):
         raise ValueError(f"squeeze ratio must be >= 1, got {ratio}")
     if np.any(n_th < 0):
@@ -124,7 +120,7 @@ def _noise(m: MeterParams, ratio, n_th, psi):
     # Python's raises OverflowError; the bits are pow's, unlike kappa * kappa
     k2 = np.float64(m.kappa) ** 2
     r2 = ratio**2
-    spread = 1.0 / r2 + (r2 - 1.0 / r2) * np.sin(psi) ** 2
+    spread = 1.0 / r2 + (r2 - 1.0 / r2) * np.sin(m.phi - phi_opt(t)) ** 2
     probe = (0.5 + n_th) * (8.0 * k2 * np.sin(0.5 * t) ** 2 * spread)
     backaction = (2.0 * k2 * t_minus_sin(t)) ** 2
     return probe + backaction + 1.0
@@ -164,16 +160,12 @@ def f_min_from(m: MeterParams, signal, variance):
 
 
 def sql(m: MeterParams):
-    """Standard quantum limit: f_min of uncoupled ground-state probes.
+    """Standard quantum limit: f_min of uncoupled ground-state probes (ratio 1, n_th 0).
 
-    At ratio 1 the noise does not depend on the meter's phase.
+    At ratio 1 the noise does not depend on phi, so it is taken at phi = 0:
+    the result has the shape of kappa and tau_scaled alone.
     """
-    return _sql_from(m, signal_coeff(m))
-
-
-def _sql_from(m: MeterParams, signal):
-    """``sql(m)`` from the already evaluated ``signal_coeff(m)``."""
-    return f_min_from(m, signal, _noise(m, 1.0, 0.0, 0.0))
+    return f_min(m._replace(phi=0.0), 1.0, 0.0)
 
 
 DecoherenceBudget = namedtuple(

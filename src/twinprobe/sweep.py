@@ -19,11 +19,11 @@ from ._common import SIGNAL_CONSISTENT, SIGNAL_VARIANTS, DomainError
 from .metrology import (
     MeterParams,
     UndetectableForceError,
-    _noise,
-    _sql_from,
     f_min_from,
+    noise,
     phi_opt,
     signal_coeff,
+    sql,
     t_minus_sin,
 )
 
@@ -127,20 +127,13 @@ def fmin_columns(
     inf or nan raises DomainError naming the first such quantity and the
     first such point, in C order.
     """
-    return _columns(
-        tau_scaled, kappa, ratio, n_th, phi, phi - phi_opt(tau_scaled), signal_variant, include_sql
-    )
-
-
-def _columns(tau_scaled, kappa, ratio, n_th, phi, psi, signal_variant, include_sql):
-    """``fmin_columns`` with the phase offset ``psi`` = phi - phi_opt(tau) already taken."""
     meter = MeterParams(
         kappa=kappa, tau_scaled=tau_scaled, phi=phi, signal_variant=signal_variant
     )
     # an overflow or 0 * inf surfaces as a non-finite column, refused below
     with np.errstate(all="ignore"):
         signal = signal_coeff(meter)
-        variance = _noise(meter, ratio, n_th, psi)
+        variance = noise(meter, ratio, n_th)
         values = {
             "tau_scaled": tau_scaled,
             "kappa": kappa,
@@ -150,7 +143,7 @@ def _columns(tau_scaled, kappa, ratio, n_th, phi, psi, signal_variant, include_s
             "signal": signal,
             "noise": variance,
             "f_min": f_min_from(meter, signal, variance),
-            "f_sql": _sql_from(meter, signal) if include_sql else math.nan,
+            "f_sql": sql(meter) if include_sql else math.nan,
         }
     columns = {name: np.asarray(value, dtype=float) for name, value in values.items()}
     shape = np.broadcast_shapes(*(column.shape for column in columns.values()))
@@ -169,21 +162,19 @@ def _columns(tau_scaled, kappa, ratio, n_th, phi, psi, signal_variant, include_s
 def curve_columns(spec: SweepSpec) -> dict[str, np.ndarray]:
     """The sweep as ``fmin_columns``: axis quantities at (points, 1), ratio at (1, ratios).
 
-    phi is ``phi_opt`` of the axis, so the noise takes it at offset 0, and
-    f_sql reuses the signal.
+    phi is ``phi_opt`` of the axis, so the noise's phase offset is exactly 0.
     """
     x = axis_values(spec)[:, None]
     tau = x if spec.axis == "tau_scaled" else spec.tau_scaled
     kappa = x if spec.axis == "kappa" else spec.kappa
-    return _columns(
+    return fmin_columns(
         tau,
         kappa,
         np.array(spec.ratios)[None, :],
         spec.n_th,
         phi_opt(tau),
-        0.0,
-        spec.signal_variant,
-        spec.include_sql,
+        signal_variant=spec.signal_variant,
+        include_sql=spec.include_sql,
     )
 
 

@@ -1,4 +1,9 @@
 import os
+
+# as the command line pins it: OpenBLAS then starts no thread, so the
+# in-process --jobs tests fork from a one-thread process, as a command does
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import warnings
 from typing import NamedTuple
 
@@ -8,12 +13,15 @@ import pytest
 from twinprobe import _common, cli
 
 
-def symplectic_form(n_modes):
-    """Block-diagonal symplectic form for (q, p) pairs, [q, p] = i."""
+def symplectic_form(n_modes, weights=1.0):
+    """Block-diagonal symplectic form for (q, p) pairs, [q_k, p_k] = i weights[k].
+
+    ``weights`` is one per mode, or one for all; 1 is [q, p] = i.
+    """
     j = np.zeros((2 * n_modes, 2 * n_modes))
-    for k in range(n_modes):
-        j[2 * k, 2 * k + 1] = 1.0
-        j[2 * k + 1, 2 * k] = -1.0
+    for k, w in enumerate(np.broadcast_to(weights, n_modes)):
+        j[2 * k, 2 * k + 1] = w
+        j[2 * k + 1, 2 * k] = -w
     return j
 
 

@@ -102,6 +102,28 @@ def test_validate_flags_uncertainty_violation():
     assert any("uncertainty" in f for f in report.failures)
 
 
+def test_validate_flags_the_multimode_uncertainty_relation():
+    # every diagonal block is a vacuum, the matrix is positive, but q1 q2 and
+    # p1 p2 correlate alike: the symplectic eigenvalues are 0.05 and 0.95
+    c = 0.5 * np.array(
+        [[1, 0, 0.9, 0], [0, 1, 0, 0.9], [0.9, 0, 1, 0], [0, 0.9, 0, 1]], dtype=float
+    )
+    report = validate(c)
+    assert report.min_eigenvalue == pytest.approx(0.05)
+    assert report.uncertainty_products == (0.25, 0.25)
+    assert report.min_symplectic_eigenvalue == pytest.approx(0.05)
+    assert report.failures == ("least symplectic eigenvalue 0.050000 < 1/2",)
+    # a symplectic map keeps the symplectic eigenvalues: 1/2 + n_th here
+    for state, nu in (
+        (vacuum(3), 0.5),
+        (thermal_covariance(4.0), 4.5),
+        (rotate(entangled_covariance(3.0, 5.0), 0.3), 5.5),
+    ):
+        report = validate(state)
+        assert report.passed, report.failures
+        assert report.min_symplectic_eigenvalue == pytest.approx(nu, rel=1e-12)
+
+
 def test_random_symplectic_states_stay_valid():
     rng = np.random.default_rng(7)
     j = symplectic_form(2)

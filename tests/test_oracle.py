@@ -88,6 +88,37 @@ def test_hamiltonian_defects():
     assert hamiltonian_defect(build_measurement_system(1.3)) == pytest.approx(1.3)
 
 
+# [X, Y] / i of each mode, as the drifts are coded
+PROBE, CAVITY, METER = 1.0, 0.5, 0.5
+
+
+@pytest.mark.parametrize(
+    "system, weights, step, unit_defect",
+    [
+        ("adiabatic", (PROBE, PROBE), 1e-3, 0.0),
+        ("full", (PROBE, PROBE, CAVITY), 1e-4, math.sqrt(75.0)),  # the feed rate, sqrt(2) g beta
+        ("readout", (PROBE, PROBE, METER, METER), 1e-3, 1.3),  # kappa
+    ],
+)
+def test_drifts_follow_the_commutator_table(system, weights, step, unit_defect):
+    # each drift is Omega' H with H symmetric, for the form Omega' of the
+    # table, so each propagator preserves Omega'
+    p = ProbeParams(omega=1.0, coupling=1.5, delta=100.0)
+    a = {
+        "adiabatic": build_entangler_system(p),
+        "full": build_entangler_system(p, adiabatic=False),
+        "readout": build_measurement_system(1.3)[:8, :8],  # without the force column
+    }[system]
+    omega = symplectic_form(len(weights), weights)
+    h = np.linalg.inv(omega) @ a
+    assert np.array_equal(h, h.T)
+    x = propagator(a, 1.0, step)
+    assert np.max(np.abs(x @ omega @ x.T - omega)) <= 1e-8 * np.max(np.abs(omega))
+    # with [X, Y] = i for every mode, the cavity and meter couplings are not Hamiltonian
+    h = np.linalg.inv(symplectic_form(len(weights))) @ a
+    assert np.max(np.abs(h - h.T)) == pytest.approx(unit_defect)
+
+
 def test_full_model_requires_detuning():
     with pytest.raises(ValueError):
         build_entangler_system(ProbeParams(omega=1.0), adiabatic=False)

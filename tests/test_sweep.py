@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -14,8 +15,10 @@ from twinprobe.metrology import (
 from twinprobe.sweep import (
     SweepSpec,
     axis_values,
+    curve_columns,
     fig1_spec,
     fig2_spec,
+    fmin_columns,
     fmin_curve,
     optimal_kappa,
 )
@@ -136,3 +139,74 @@ def test_optimal_kappa_near_the_float_limits():
     # subnormal tau - sin tau (tau below ~6.4e-103) included
     for tau in (6e-103, 1e-60, 1e-9, 0.01, PI / 2, 1.9, 2.0, 3.0, 1e3, 1e300):
         assert optimal_kappa(tau, 1.0, 20.0).kappa == 1.0 / math.sqrt(2.0 * float(t_minus_sin(tau)))
+
+
+# sha256 (first 16 hex digits) of each column's bytes, in fmin_columns' order
+COLUMN_DIGESTS = {
+    "fig1": (
+        "08c0134c26016f17", "6c3c396ed6b5c36d", "1af996bcc12ce568", "055e7dd5bc7591c9",
+        "95094126b0d7cd9d", "0e346c3999b7ccfa", "a19d75fcbcf44c59", "ec2fdd89371fb319",
+        "5ae994dcdcf52f7e",
+    ),
+    "fig1 printed": (
+        "08c0134c26016f17", "6c3c396ed6b5c36d", "1af996bcc12ce568", "055e7dd5bc7591c9",
+        "95094126b0d7cd9d", "be984ff41a757ab9", "a19d75fcbcf44c59", "97e835f2a2cb4e96",
+        "0418a87b853f30fc",
+    ),
+    "fig1 no-sql": (
+        "08c0134c26016f17", "6c3c396ed6b5c36d", "1af996bcc12ce568", "055e7dd5bc7591c9",
+        "95094126b0d7cd9d", "0e346c3999b7ccfa", "a19d75fcbcf44c59", "ec2fdd89371fb319",
+        "74999fd28ab18ccc",
+    ),
+    "fig2": (
+        "c3f113d6cbe80241", "ccffe9ebc1d81133", "1af996bcc12ce568", "055e7dd5bc7591c9",
+        "691aa6c37fc977ef", "5b880b6297d2795a", "85fc0e06fdd856ee", "9b6ab3100fefb5ba",
+        "e8ea28775dd7eb90",
+    ),
+    "fig2 printed": (
+        "c3f113d6cbe80241", "ccffe9ebc1d81133", "1af996bcc12ce568", "055e7dd5bc7591c9",
+        "691aa6c37fc977ef", "5fe389c4b00536eb", "85fc0e06fdd856ee", "caa10ef61081912b",
+        "ccce4fbd4360d148",
+    ),
+    "fig2 no-sql": (
+        "c3f113d6cbe80241", "ccffe9ebc1d81133", "1af996bcc12ce568", "055e7dd5bc7591c9",
+        "691aa6c37fc977ef", "5b880b6297d2795a", "85fc0e06fdd856ee", "9b6ab3100fefb5ba",
+        "74999fd28ab18ccc",
+    ),
+    "grid ratio=1": (
+        "70622c027e9bec08", "633938f09cacdbde", "6c3c396ed6b5c36d", "055e7dd5bc7591c9",
+        "e6a064f779459303", "85949709e92f0651", "1039d26b2495ba82", "7b61523855402733",
+        "9c58304558523e8b",
+    ),
+    "grid ratio=10": (
+        "70622c027e9bec08", "633938f09cacdbde", "24b1f4ef66b650ff", "055e7dd5bc7591c9",
+        "e6a064f779459303", "85949709e92f0651", "b5e27459b2a839b5", "4d6d168d282570eb",
+        "9c58304558523e8b",
+    ),
+}
+
+
+def pinned_columns():
+    for name, fig in (("fig1", fig1_spec), ("fig2", fig2_spec)):
+        for tag, extra in (
+            ("", {}),
+            (" printed", {"signal_variant": "printed"}),
+            (" no-sql", {"include_sql": False}),
+        ):
+            yield name + tag, curve_columns(fig(points=300, **extra))
+    # phi off phi_opt(tau): at ratio 1 it drops out of the noise, above 1 it does not
+    tau = np.linspace(0.05, 2.0 * PI, 40)[:, None]
+    phi = np.linspace(-1.5, 1.5, 9)[None, :]
+    for ratio in (1.0, 10.0):
+        yield f"grid ratio={ratio:g}", fmin_columns(tau, 0.7, ratio, 20.0, phi)
+
+
+def test_sweep_columns_keep_every_bit():
+    got = {
+        case: tuple(
+            hashlib.sha256(np.ascontiguousarray(column).tobytes()).hexdigest()[:16]
+            for column in columns.values()
+        )
+        for case, columns in pinned_columns()
+    }
+    assert got == COLUMN_DIGESTS
