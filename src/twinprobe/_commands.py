@@ -88,7 +88,7 @@ def _check_outputs(paths: dict[str, str], config_path: str | None) -> None:
         taken[real] = f"CSV {path}"  # only the CSV precedes another output
 
 
-def merge_config(args, environ=None) -> RunConfig:
+def merge_config(args, environ) -> RunConfig:
     """Layer defaults, config file, environment, and flags into a RunConfig.
 
     An output path of ``args.command`` that would overwrite the config file
@@ -152,11 +152,11 @@ def _resolve_n_th(cfg: RunConfig) -> float:
     return cfg.n_th
 
 
-def _resolve_phi(cfg: RunConfig, tau_scaled: float) -> float:
+def _resolve_phi(cfg: RunConfig) -> float:
     if cfg.phi == "opt":
         from .metrology import phi_opt
 
-        return phi_opt(tau_scaled)
+        return phi_opt(cfg.tau_scaled)
     return float(cfg.phi)
 
 
@@ -285,10 +285,10 @@ def cmd_entangle(cfg: RunConfig) -> bool:
     return True
 
 
-def _run_sweep(cfg: RunConfig, make_spec, command: str) -> bool:
-    """Write the sweep that ``make_spec(**overrides)`` builds from the settings."""
+def _run_sweep(cfg: RunConfig, command: str) -> bool:
+    """Write the fig1 or fig2 sweep, as ``command`` names it, built from the settings."""
     paths = _output_paths(command, cfg)
-    from .sweep import curve_columns
+    from .sweep import curve_columns, fig1_spec, fig2_spec
 
     overrides = {
         "kappa": cfg.kappa,
@@ -303,7 +303,7 @@ def _run_sweep(cfg: RunConfig, make_spec, command: str) -> bool:
         overrides["lo"] = cfg.axis_lo
     if cfg.axis_hi is not None:
         overrides["hi"] = cfg.axis_hi
-    spec = make_spec(**overrides)
+    spec = (fig1_spec if command == "fig1" else fig2_spec)(**overrides)
     _write_csv(paths["out"], spec.axis, curve_columns(spec), cfg.jobs)
     if "gnuplot" in paths:
         _write_gnuplot(paths["gnuplot"], paths["out"], spec)
@@ -314,15 +314,11 @@ def _run_sweep(cfg: RunConfig, make_spec, command: str) -> bool:
 
 
 def cmd_fig1(cfg: RunConfig) -> bool:
-    from .sweep import fig1_spec
-
-    return _run_sweep(cfg, fig1_spec, "fig1")
+    return _run_sweep(cfg, "fig1")
 
 
 def cmd_fig2(cfg: RunConfig) -> bool:
-    from .sweep import fig2_spec
-
-    return _run_sweep(cfg, fig2_spec, "fig2")
+    return _run_sweep(cfg, "fig2")
 
 
 def cmd_fmin(cfg: RunConfig) -> bool:
@@ -333,7 +329,7 @@ def cmd_fmin(cfg: RunConfig) -> bool:
         cfg.kappa,
         cfg.r if cfg.r is not None else 1.0,
         _resolve_n_th(cfg),
-        _resolve_phi(cfg, cfg.tau_scaled),
+        _resolve_phi(cfg),
         signal_variant=cfg.signal_variant,
         include_sql=cfg.include_sql,
     )
@@ -386,7 +382,7 @@ def cmd_budget(cfg: RunConfig) -> bool:
     p = ProbeParams(
         omega=cfg.omega, n_th=_resolve_n_th(cfg), gamma_mech=cfg.gamma_mech
     )
-    phi = _resolve_phi(cfg, cfg.tau_scaled)
+    phi = _resolve_phi(cfg)
     budget = decoherence_budget(p, phi, cfg.tau_scaled / cfg.omega)
     print(f"coherence budget = {_g(budget.budget)}")
     print(f"rotation time = {_g(budget.rotation_time)}")

@@ -17,7 +17,7 @@ BLOCK_ROWS = 4096
 HEADER = b"axis,r,phi_opt,signal,noise,f_min,f_sql\n"
 
 
-def write_csv(fh, axis: str, columns, jobs: int = 1) -> None:
+def write_csv(fh, axis: str, columns, jobs: int) -> None:
     """Write the CSV of sweep columns to ``fh``: the header, then each block in order.
 
     ``columns`` maps the quantities of ``sweep.fmin_columns`` to arrays of

@@ -179,19 +179,15 @@ def entangled_covariance(ratio: float, n_th: float) -> np.ndarray:
     return _read_only(m)
 
 
-def mode_rotation(phi: float, n_modes: int = 2) -> np.ndarray:
-    """Phase-space rotation by ``phi`` applied identically to every mode."""
+def mode_rotation(phi: float) -> np.ndarray:
+    """Phase-space rotation by ``phi`` of both probes, ordering (q1, p1, q2, p2)."""
     c, s = math.cos(phi), math.sin(phi)
-    block = np.array([[c, s], [-s, c]])
-    out = np.zeros((2 * n_modes, 2 * n_modes))
-    for k in range(n_modes):
-        out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = block
-    return out
+    return np.array([[c, s, 0.0, 0.0], [-s, c, 0.0, 0.0], [0.0, 0.0, c, s], [0.0, 0.0, -s, c]])
 
 
 def rotate(c: np.ndarray, phi: float) -> np.ndarray:
-    """Covariance after a common local rotation of every mode by ``phi``."""
-    r = mode_rotation(phi, len(c) // 2)
+    """The probe pair's 4x4 covariance ``c`` after rotating both probes by ``phi``."""
+    r = mode_rotation(phi)
     m = r @ c @ r.T
     return _read_only(0.5 * (m + m.T))
 
@@ -218,17 +214,6 @@ class EntanglerOutput(
     """
 
     __slots__ = ()
-
-    # == and hash see the scalars, every field but the covariance array; a
-    # record equals no other type, not even a plain tuple of its values
-    def __eq__(self, other):
-        same = other.__class__ is self.__class__
-        return same and self[:3] + self[4:] == other[:3] + other[4:]
-
-    __ne__ = object.__ne__  # the inverse of __eq__: the tuple's own compares the arrays
-
-    def __hash__(self) -> int:
-        return hash(self[:3] + self[4:])
 
     @property
     def entangled(self) -> bool:

@@ -336,7 +336,6 @@ class CheckResult(
     namedtuple(
         "CheckResult",
         "name points max_rel_error worst_case passed informational failures guard_margin",
-        defaults=[False, (), 0.0],
     )
 ):
     """Outcome of one closed-form-vs-oracle comparison family.

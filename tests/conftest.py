@@ -1,8 +1,9 @@
 import os
 
-# as the command line pins it: OpenBLAS then starts no thread, so the
-# in-process --jobs tests fork from a one-thread process, as a command does
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# as the command line pins it, but forced over a caller's value: OpenBLAS
+# then starts no thread, so the in-process --jobs tests fork from a
+# one-thread process, as a command does
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import warnings
 from typing import NamedTuple

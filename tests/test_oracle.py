@@ -13,12 +13,13 @@ from twinprobe import oracle
 from twinprobe.dynamics import (
     ProbeParams,
     entangled_covariance,
+    prepare,
     relative_mode_frequency,
     rotate,
     thermal_covariance,
     transfer_matrix,
 )
-from twinprobe.gaussian import VACUUM_VARIANCE, direct_sum, vacuum
+from twinprobe.gaussian import VACUUM_VARIANCE, direct_sum, vacuum, validate
 from twinprobe.metrology import MeterParams, noise, phi_opt, signal_coeff
 from twinprobe.oracle import (
     IntegrationDivergedError,
@@ -585,25 +586,54 @@ def test_oracle_matches_closed_forms_everywhere(ratio, n_th, kappa, tau):
     assert w @ cov.matrix @ w == pytest.approx(noise(m, ratio, n_th), rel=1e-8)
 
 
-def staged_fmin(ratio, n_th, kappa, tau, phi):
-    """f_min of one run composed from the oracle's stages alone, at the settled step.
+def entangler_stage(ratio, n_th, adiabatic=True):
+    """Drift, switch-off time, start step and initial state of the entangling stage.
 
-    The thermal state goes through the entangler to switch-off, rotates by
-    free evolution for (phi mod 2 pi) / omega, and is read out; the meters
-    start in vacuum.  Each stage starts at its verify check's step.
+    The full model keeps the cavity at delta = 100 theta, starts it in
+    vacuum beside the thermal probes, and starts the step at 1/300 of the
+    detuning period, as ``full_model_deviation`` does by default.
     """
     p = ProbeParams.from_squeeze_ratio(1.0, ratio)
     theta = relative_mode_frequency(p)
+    t_off, period, c0 = PI / (2.0 * theta), 2.0 * PI / theta, thermal_covariance(n_th)
+    if adiabatic:
+        return build_entangler_system(p), t_off, period / 2048.0, c0
+    full = build_entangler_system(p._replace(delta=100.0 * theta), adiabatic=False)
+    return full, t_off, period / 100.0 / 300.0, direct_sum(c0, vacuum(1))
+
+
+def switch_off_state(ratio, n_th, adiabatic=True):
+    """The probes' X C0 X^T at switch-off, settled as the verify check settles it."""
+    drift, span, step, c0 = entangler_stage(ratio, n_th, adiabatic)
+
+    def measure(h):
+        x = propagator(drift, span, h)[:4]
+        c = x @ c0 @ x.T
+        return 0.5 * (c + c.T)
+
+    value, _, settled = oracle._settle(measure, step, span, oracle.ENTANGLER_TOLERANCE / 10.0)
+    assert settled
+    return value
+
+
+def staged_fmin(ratio, n_th, kappa, tau, phi, adiabatic=True):
+    """f_min of one run composed from the oracle's stages alone, at the settled step.
+
+    The thermal state goes through the entangler to switch-off (with the
+    cavity kept unless ``adiabatic``, and only the probes kept after it),
+    rotates by free evolution for (phi mod 2 pi) / omega, and is read out;
+    the meters start in vacuum.  Each stage starts at its verify check's step.
+    """
+    *entangler, c0 = entangler_stage(ratio, n_th, adiabatic)
     drifts, spans, steps = zip(
-        (build_entangler_system(p), PI / (2.0 * theta), (2.0 * PI / theta) / 2048.0),
+        entangler,
         (build_entangler_system(ProbeParams(1.0)), phi % (2.0 * PI), PI / 2048.0),
         (build_measurement_system(kappa), tau, PI / 2048.0),
     )
-    c0 = thermal_covariance(n_th)
 
     def measure(h):
         entangler, rotation, readout = map(propagator, drifts, spans, h)
-        x = rotation @ entangler
+        x = rotation @ entangler[:4]
         v = readout[5] + readout[7]  # Y1 + Y2 over (q1, p1, q2, p2, X1, Y1, X2, Y2, f)
         variance = v[:4] @ x @ c0 @ x.T @ v[:4] + VACUUM_VARIANCE * v[4:8] @ v[4:8]
         return np.full((1, 1), math.sqrt(variance) / abs(v[8]))
@@ -630,3 +660,69 @@ def test_one_run_through_the_oracle_stages_matches_fmin_columns(ratio, n_th, kap
     assert staged_fmin(ratio, n_th, kappa, tau, phi) == pytest.approx(closed["f_min"], rel=1e-8)
     # f_sql is f_min of uncoupled ground-state probes
     assert staged_fmin(1.0, 0.0, kappa, tau, phi) == pytest.approx(closed["f_sql"], rel=1e-8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ratio=st.floats(1.0, 10.0),
+    n_th=st.floats(0.0, 100.0),
+    kappa=st.floats(0.05, 5.0),
+    tau=st.floats(0.05, 2.0 * PI),
+    phi=st.floats(-PI, PI),
+)
+# a readout near phi_opt (-0.232) at large kappa: 3.3 times the deviation
+@example(ratio=5.91, n_th=7.64, kappa=4.65, tau=0.464, phi=-0.229)
+def test_full_model_run_through_the_oracle_stages_stays_near_fmin_columns(
+    ratio, n_th, kappa, tau, phi
+):
+    # The kept cavity moves f_min only through the switch-off state C + dC,
+    # and for any readout by at most ~rho/2, rho the spectral radius of
+    # C^-1 dC.  Over this box rho/2 is at most 41.5 times the max-entry
+    # deviation full_model_deviation reports (at ratio 10, n_th 0; see the
+    # test below), so 50 times it bounds every draw.  Random draws stay
+    # below ~1.6 times it.
+    dev, _ = full_model_deviation(ProbeParams.from_squeeze_ratio(1.0, ratio, n_th=n_th))
+    closed = fmin_columns(tau, kappa, ratio, n_th, phi)["f_min"]
+    full = staged_fmin(ratio, n_th, kappa, tau, phi, adiabatic=False)
+    assert full == pytest.approx(closed, rel=50.0 * dev + 1e-8)
+
+
+def test_full_model_deviation_understates_the_squeezed_variance():
+    # The kept cavity's vacuum adds ~1e-3 to Var(q1 - q2) at any n_th.  At
+    # ratio 10, n_th 0 that is 20% of the squeezed variance, so rho is 0.2,
+    # while the deviation, relative to the largest entry, reads 2.4e-3:
+    # rho/2 is 41.5 times it, under the 50 the test above allows.
+    closed = entangled_covariance(10.0, 0.0)
+    shift = np.linalg.solve(closed, switch_off_state(10.0, 0.0, adiabatic=False) - closed)
+    rho = np.max(np.abs(np.linalg.eigvals(shift)))
+    dev, _ = full_model_deviation(ProbeParams.from_squeeze_ratio(1.0, 10.0))
+    assert rho == pytest.approx(0.2, rel=1e-2)
+    assert rho / 2.0 / dev == pytest.approx(41.5, rel=1e-2)
+
+
+# p2 -> -p2: the partial transpose of the pair's Gaussian state
+PARTIAL_TRANSPOSE = np.diag([1.0, 1.0, 1.0, -1.0])
+
+
+@pytest.mark.parametrize("n_th", [0.0, 0.3, 20.0, 1e3])
+@pytest.mark.parametrize("ratio", [1.0, 1.5, 2.0, 10.0, 100.0, 1e3])
+def test_ppt_of_the_oracle_switch_off_state(ratio, n_th):
+    # Simon, PRL 84, 2726 (2000): a two-mode Gaussian state is entangled iff
+    # its partial transpose has a symplectic eigenvalue below 1/2
+    c = switch_off_state(ratio, n_th)
+    nu = validate(PARTIAL_TRANSPOSE @ c @ PARTIAL_TRANSPOSE).min_symplectic_eigenvalue
+    assert nu == pytest.approx((VACUUM_VARIANCE + n_th) / ratio, rel=1e-8)
+    # for this state PPT is the EPR product test; on the boundary ratio =
+    # 1 + 2 n_th nu rounds either way while the product is exactly 1
+    if ratio != 1.0 + 2.0 * n_th:
+        product = prepare(ProbeParams.from_squeeze_ratio(1.0, ratio, n_th=n_th)).variance_product
+        assert (nu < VACUUM_VARIANCE) == (product < 1.0)
+
+
+def test_squeeze_margin_verdict_is_not_ppt():
+    # `entangled`, the squeeze-margin test ratio**2 > 1 + 2 n_th, says yes,
+    # while PPT says separable: nu = (1/2 + 20) / 10 is above 1/2
+    c = switch_off_state(10.0, 20.0)
+    nu = validate(PARTIAL_TRANSPOSE @ c @ PARTIAL_TRANSPOSE).min_symplectic_eigenvalue
+    assert prepare(ProbeParams.from_squeeze_ratio(1.0, 10.0, n_th=20.0)).entangled
+    assert nu == pytest.approx(2.05, rel=1e-8)
