@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 
-from ._common import _SETTINGS, ENV_PREFIX, SIGNAL_VARIANTS, ConfigError, RunConfig
+from ._common import _SETTINGS, ENV_PREFIX, SIGNAL_VARIANTS, RunConfig
 
 # Largest grid a sweep accepts: points per ratio, and rows, one per point and
 # squeeze ratio.  The closed forms hold several float temporaries per row.
@@ -32,7 +32,7 @@ def _convert(key: str, raw: str, source: str):
     try:
         return _PARSERS[key](raw)
     except ValueError as exc:
-        raise ConfigError(f"{source}: bad value for {key!r}: {exc}") from None
+        raise ValueError(f"{source}: bad value for {key!r}: {exc}") from None
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -40,7 +40,7 @@ def _read_config_file(path: str) -> dict[str, str]:
         with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+        raise ValueError(f"cannot read config file {path}: {exc}") from None
     out: dict[str, str] = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
@@ -48,26 +48,27 @@ def _read_config_file(path: str) -> dict[str, str]:
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key = key.strip().replace("-", "_")
         if key not in _PARSERS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         out[key] = value.strip()
     return out
 
 
 def _env_overrides(environ) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for name, value in environ.items():
+    """``TWINPROBE_*`` values by case-folded key, the config path under ``config``."""
+    names: dict[str, str] = {}
+    for name in environ:
         if not name.startswith(ENV_PREFIX):
             continue
         key = name[len(ENV_PREFIX):].lower()
-        if key == "config":
-            continue
-        if key not in _PARSERS:
-            raise ConfigError(f"unknown environment variable {name}")
-        out[key] = value
-    return out
+        if key not in _PARSERS and key != "config":
+            raise ValueError(f"unknown environment variable {name}")
+        if key in names:
+            raise ValueError(f"environment variables {names[key]} and {name} both set {key!r}")
+        names[key] = name
+    return {key: environ[name] for key, name in names.items()}
 
 
 def _output_paths(command: str, cfg: RunConfig) -> dict[str, str]:
@@ -84,7 +85,7 @@ def _check_outputs(paths: dict[str, str], config_path: str | None) -> None:
     for key, path in paths.items():
         real = os.path.realpath(path)
         if real in taken:
-            raise ConfigError(f"{key} {path} would overwrite the {taken[real]}")
+            raise ValueError(f"{key} {path} would overwrite the {taken[real]}")
         taken[real] = f"CSV {path}"  # only the CSV precedes another output
 
 
@@ -96,11 +97,13 @@ def merge_config(args, environ) -> RunConfig:
     """
     environ = os.environ if environ is None else environ
     values = {name: default for name, default, _, _ in _SETTINGS}
-    path = getattr(args, "config", None) or environ.get(ENV_PREFIX + "CONFIG")
+    env = _env_overrides(environ)
+    path = env.pop("config", None)
+    path = getattr(args, "config", None) or path
     if path:
         for key, raw in _read_config_file(path).items():
             values[key] = _convert(key, raw, path)
-    for key, raw in _env_overrides(environ).items():
+    for key, raw in env.items():
         values[key] = _convert(key, raw, ENV_PREFIX + key.upper())
     for key in _PARSERS:
         flag_value = getattr(args, key, None)
@@ -108,10 +111,10 @@ def merge_config(args, environ) -> RunConfig:
             values[key] = flag_value
     for key, value in values.items():
         if _PARSERS[key] is float and value is not None and not math.isfinite(value):
-            raise ConfigError(f"{key} must be finite, got {value!r}")
+            raise ValueError(f"{key} must be finite, got {value!r}")
     cfg = RunConfig(**values)
     if cfg.signal_variant not in SIGNAL_VARIANTS:
-        raise ConfigError(
+        raise ValueError(
             f"signal_variant must be one of {SIGNAL_VARIANTS}, got {cfg.signal_variant!r}"
         )
     if cfg.phi != "opt":
@@ -120,22 +123,22 @@ def merge_config(args, environ) -> RunConfig:
         except ValueError:
             phi = math.nan
         if not math.isfinite(phi):
-            raise ConfigError(f"phi must be 'opt' or a finite number, got {cfg.phi!r}")
+            raise ValueError(f"phi must be 'opt' or a finite number, got {cfg.phi!r}")
     if cfg.jobs < 1:
-        raise ConfigError(f"jobs must be at least 1, got {cfg.jobs}")
+        raise ValueError(f"jobs must be at least 1, got {cfg.jobs}")
     if not cfg.tolerance > 0:
-        raise ConfigError(f"tolerance must be positive, got {cfg.tolerance}")
+        raise ValueError(f"tolerance must be positive, got {cfg.tolerance}")
     if cfg.points < 2:
-        raise ConfigError(f"points must be at least 2, got {cfg.points}")
+        raise ValueError(f"points must be at least 2, got {cfg.points}")
     if cfg.points > MAX_POINTS:
-        raise ConfigError(f"points must be at most {MAX_POINTS}, got {cfg.points}")
+        raise ValueError(f"points must be at most {MAX_POINTS}, got {cfg.points}")
     for key in ("r", "kappa"):
         value = getattr(cfg, key)
         if value is not None and abs(value) > MAX_SCALE:
-            raise ConfigError(f"{key} must be at most {MAX_SCALE:g} in magnitude, got {value!r}")
+            raise ValueError(f"{key} must be at most {MAX_SCALE:g} in magnitude, got {value!r}")
     ratios = len(_parse_ratio_list(cfg))
     if cfg.points * ratios > MAX_ROWS:
-        raise ConfigError(
+        raise ValueError(
             f"points * len(r_list) must be at most {MAX_ROWS}, got {cfg.points} * {ratios}"
         )
     _check_outputs(_output_paths(getattr(args, "command", ""), cfg), path)
@@ -163,15 +166,15 @@ def _resolve_phi(cfg: RunConfig) -> float:
 def _parse_ratio_list(cfg: RunConfig) -> tuple[float, ...]:
     items = [piece.strip() for piece in cfg.r_list.split(",") if piece.strip()]
     if not items:
-        raise ConfigError(f"r_list is empty: {cfg.r_list!r}")
+        raise ValueError(f"r_list is empty: {cfg.r_list!r}")
     try:
         ratios = tuple(float(piece) for piece in items)
     except ValueError:
-        raise ConfigError(f"r_list must be comma-separated numbers, got {cfg.r_list!r}") from None
+        raise ValueError(f"r_list must be comma-separated numbers, got {cfg.r_list!r}") from None
     if not all(map(math.isfinite, ratios)):
-        raise ConfigError(f"r_list entries must be finite, got {cfg.r_list!r}")
+        raise ValueError(f"r_list entries must be finite, got {cfg.r_list!r}")
     if any(abs(ratio) > MAX_SCALE for ratio in ratios):
-        raise ConfigError(
+        raise ValueError(
             f"r_list entries must be at most {MAX_SCALE:g} in magnitude, got {cfg.r_list!r}"
         )
     return ratios
@@ -188,7 +191,7 @@ def _probe_params(cfg: RunConfig) -> ProbeParams:
         cfg.g_opt is not None or cfg.beta_abs is not None,
     ]
     if sum(routes) > 1:
-        raise ConfigError(
+        raise ValueError(
             "give only one of --r, --coupling-chi, or --g-opt/--beta-abs/--delta"
         )
     if cfg.r is not None:
@@ -198,15 +201,15 @@ def _probe_params(cfg: RunConfig) -> ProbeParams:
     coupling = cfg.coupling_chi
     if cfg.g_opt is not None or cfg.beta_abs is not None:
         if cfg.g_opt is None or cfg.beta_abs is None or cfg.delta is None:
-            raise ConfigError("raw coupling needs all of --g-opt, --beta-abs, --delta")
+            raise ValueError("raw coupling needs all of --g-opt, --beta-abs, --delta")
         if cfg.delta == 0:
-            raise ConfigError("delta must be nonzero")
+            raise ValueError("delta must be nonzero")
         # (2 g |beta|)^2 / delta; a product overflows to inf where ** would raise
         push = 2.0 * cfg.g_opt * cfg.beta_abs
         coupling = push * push / cfg.delta
     if coupling is not None:
         return ProbeParams(cfg.omega, coupling, cfg.delta, n_th, cfg.gamma_mech)
-    raise ConfigError("entangler needs --r, --coupling-chi, or --g-opt/--beta-abs/--delta")
+    raise ValueError("entangler needs --r, --coupling-chi, or --g-opt/--beta-abs/--delta")
 
 
 def _g(x: float) -> str:
@@ -222,7 +225,7 @@ def _write_file(key: str, path: str, write) -> None:
         with open(path, "wb") as fh:
             write(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot write {key} {path}: {exc.strerror}") from None
+        raise ValueError(f"cannot write {key} {path}: {exc.strerror}") from None
 
 
 def _write_csv(path: str, axis: str, columns, jobs: int = 1) -> None:
@@ -393,6 +396,7 @@ def cmd_budget(cfg: RunConfig) -> bool:
 
 
 def cmd_dump_config(cfg: RunConfig) -> bool:
+    lines = []
     for name, value in zip(cfg._fields, cfg):
         if value is None:
             continue
@@ -402,5 +406,9 @@ def cmd_dump_config(cfg: RunConfig) -> bool:
             text = repr(value)
         else:
             text = str(value)
-        print(f"{name} = {text}")
+        # the config reader ends a value at '#' or a line break, and strips it
+        if text != text.strip() or any(c in text for c in "#\n\r"):
+            raise ValueError(f"{name} = {text!r} would not read back from a config file")
+        lines.append(f"{name} = {text}")
+    print("\n".join(lines))
     return True

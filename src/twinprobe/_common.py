@@ -3,7 +3,9 @@
 This module imports nothing beyond the standard library, so the front end
 can build its parser and report errors without loading numpy.  It also
 holds the settings schema, which the parser and the configuration merge
-both read; ``twinprobe.cli`` exports ``ConfigError`` and ``RunConfig``.
+both read; ``twinprobe.cli`` exports ``RunConfig``.  ``DomainError`` is
+the one exception that exits 3 on the command line; it is not a
+``ValueError``, the exception that exits 2.
 """
 
 import math
@@ -25,10 +27,6 @@ def finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise DomainError(f"{name} is beyond the float range ({value:g})")
     return value
-
-
-class ConfigError(ValueError):
-    """Invalid or contradictory configuration input."""
 
 
 ENV_PREFIX = "TWINPROBE_"

@@ -2,15 +2,15 @@
 
 Every setting is declared once, as a row of ``_common._SETTINGS`` holding
 its name, default, parser and help text; RunConfig is the named tuple of
-those names and defaults.  The name is the config key, the upper-cased name
+those names and defaults.  The name is the config key, the name in any case
 after ``TWINPROBE_`` the environment variable, and the name with dashes for
 underscores the ``--`` flag.
 
 Configuration is layered: built-in defaults, then a flat ``key = value``
 config file (``--config`` flag or the TWINPROBE_CONFIG variable), then
 ``TWINPROBE_<KEY>`` environment variables, then command line flags.
-Later layers win.  Unknown config keys and unknown TWINPROBE_* variables
-are rejected rather than ignored, and so is a setting that is not finite.
+Later layers win.  Unknown config keys, unknown TWINPROBE_* variables, two
+that differ only in case, and a setting that is not finite are rejected.
 
 Exit codes: 0 success, 1 stdout closed before all output was written, 2
 configuration error, 3 physics domain error (unstable regime, vanishing
@@ -33,9 +33,9 @@ import argparse
 import os
 import sys
 
-from ._common import _SETTINGS, ConfigError, DomainError, RunConfig, _parse_bool
+from ._common import _SETTINGS, DomainError, RunConfig, _parse_bool
 
-__all__ = ["ConfigError", "RunConfig", "build_parser", "main"]
+__all__ = ["RunConfig", "build_parser", "main"]
 
 EXIT_OK = 0
 EXIT_CLOSED_STDOUT = 1

@@ -19,7 +19,6 @@ from ._common import DomainError, finite
 from .gaussian import VACUUM_VARIANCE, _read_only
 
 __all__ = [
-    "UnstableRegimeError",
     "ProbeParams",
     "EntanglerOutput",
     "relative_mode_frequency",
@@ -31,10 +30,6 @@ __all__ = [
     "rotate",
     "prepare",
 ]
-
-
-class UnstableRegimeError(DomainError, ValueError):
-    """The coupling drives the relative mode unstable (imaginary frequency)."""
 
 
 class ProbeParams(namedtuple("ProbeParams", "omega coupling delta n_th gamma_mech")):
@@ -91,7 +86,7 @@ def relative_mode_frequency(p: ProbeParams) -> float:
     """Frequency of the relative normal mode under the cavity-mediated spring."""
     stiffness = p.omega + 2.0 * p.coupling
     if not stiffness > 0:
-        raise UnstableRegimeError(f"relative mode unstable: omega + 2*coupling = {stiffness}")
+        raise DomainError(f"relative mode unstable: omega + 2*coupling = {stiffness}")
     # two roots, not the root of a product that can underflow to 0
     return math.sqrt(p.omega) * math.sqrt(stiffness)
 
@@ -228,7 +223,7 @@ def prepare(p: ProbeParams) -> EntanglerOutput:
     theta = relative_mode_frequency(p)
     ratio = finite("squeeze ratio", theta / p.omega)  # also catches an infinite theta
     if ratio < 1.0:
-        raise UnstableRegimeError(
+        raise DomainError(
             f"coupling must not soften the relative mode: ratio {ratio} < 1"
         )
     # squared below, where a float power would raise OverflowError instead

@@ -22,7 +22,6 @@ import numpy as np
 from ._common import SIGNAL_CONSISTENT, SIGNAL_PRINTED, SIGNAL_VARIANTS, DomainError, finite
 
 __all__ = [
-    "UndetectableForceError",
     "MeterParams",
     "DecoherenceBudget",
     "signal_coeff",
@@ -34,10 +33,6 @@ __all__ = [
     "t_minus_sin",
     "decoherence_budget",
 ]
-
-
-class UndetectableForceError(DomainError, ValueError):
-    """The signal transfer vanishes, so no force resolves at this setting."""
 
 
 class MeterParams(namedtuple("MeterParams", "kappa tau_scaled phi signal_variant")):
@@ -149,13 +144,13 @@ def f_min(m: MeterParams, ratio, n_th):
 def f_min_from(m: MeterParams, signal, variance):
     """f_min from the already evaluated ``signal_coeff(m)`` and noise ``variance``.
 
-    A zero signal raises UndetectableForceError naming the first duration
+    A zero signal raises DomainError naming the first duration
     at which it vanishes.
     """
     zero = signal == 0.0
     if np.any(zero):
         tau = np.broadcast_to(m.tau_scaled, np.shape(signal))[zero][0]
-        raise UndetectableForceError(f"signal transfer vanishes at tau_scaled={tau}")
+        raise DomainError(f"signal transfer vanishes at tau_scaled={tau}")
     return np.sqrt(variance) / np.abs(signal)
 
 

@@ -49,7 +49,6 @@ from .gaussian import VACUUM_VARIANCE, _read_only, direct_sum, vacuum
 __all__ = [
     "MAX_STEPS",
     "ENTANGLER_TOLERANCE",
-    "IntegrationDivergedError",
     "VerifyGrid",
     "CheckResult",
     "VerificationReport",
@@ -60,10 +59,6 @@ __all__ = [
     "full_model_deviation",
     "verify_closed_forms",
 ]
-
-
-class IntegrationDivergedError(DomainError, RuntimeError):
-    """The fixed-step integration produced non-finite moments."""
 
 
 def _drift(a) -> np.ndarray:
@@ -246,7 +241,7 @@ def integrate_moments(
     if mean.shape != (d,):
         raise ValueError(f"mean0 shape {mean.shape} does not match dim {d}")
     # overflow here is not an error condition: it is how divergence
-    # presents, and the finite check below turns it into a typed error
+    # presents, and the finite check below turns it into a DomainError
     with np.errstate(over="ignore", invalid="ignore"):
         x = propagator(np.pad(a, (0, d + 1 - len(a))), t_final, step)
         prop = x[:d, :d]
@@ -254,7 +249,7 @@ def integrate_moments(
         cov = prop @ cov0 @ prop.T
         cov = 0.5 * (cov + cov.T)
     if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-        raise IntegrationDivergedError(f"integration diverged at t={t_final}")
+        raise DomainError(f"integration diverged at t={t_final}")
     return _read_only(mean), _Covariance(_read_only(cov))
 
 

@@ -18,7 +18,6 @@ import numpy as np
 from ._common import SIGNAL_CONSISTENT, SIGNAL_VARIANTS, DomainError
 from .metrology import (
     MeterParams,
-    UndetectableForceError,
     f_min_from,
     noise,
     phi_opt,
@@ -222,7 +221,7 @@ def optimal_kappa(
         raise ValueError(f"tau_scaled must be nonnegative, got {tau_scaled}")
     ramp = t_minus_sin(tau_scaled)
     if not ramp > 0.0:
-        raise UndetectableForceError(f"signal transfer vanishes at tau_scaled={tau_scaled}")
+        raise DomainError(f"signal transfer vanishes at tau_scaled={tau_scaled}")
     # 2 * ramp overflows from ramp ~ 9e307 on; 0.5 / sqrt(0.5 * ramp) has the
     # same bits wherever 0.5 * ramp is exact, which a subnormal ramp is not
     kappa = 1.0 / math.sqrt(2.0 * ramp) if ramp < 1.0 else 0.5 / math.sqrt(0.5 * ramp)

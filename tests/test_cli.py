@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from twinprobe import _commands, _csv, cli, dynamics
+from twinprobe._common import _SETTINGS
 from twinprobe.cli import RunConfig
 from twinprobe.metrology import phi_opt
 from twinprobe.sweep import curve_columns, fig1_spec, fmin_columns
@@ -527,6 +528,25 @@ def test_unknown_environment_variable_rejected(launch_cli):
     assert "unknown environment variable" in proc.stderr
 
 
+def test_config_path_variable_is_case_folded(launch_cli, tmp_path):
+    # like every other TWINPROBE_* name; a --config flag still wins
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kappa = 3\n")
+    proc = launch_cli("dump-config", env_extra={"TWINPROBE_config": str(cfg)})
+    assert (proc.returncode, stdout_value(proc, "kappa")) == (0, 3.0)
+    other = tmp_path / "other.cfg"
+    other.write_text("kappa = 4\n")
+    proc = launch_cli(
+        "dump-config", "--config", str(other), env_extra={"TWINPROBE_Config": str(cfg)}
+    )
+    assert (proc.returncode, stdout_value(proc, "kappa")) == (0, 4.0)
+    # the file so named is the config file no output may overwrite
+    proc = launch_cli("fmin", "--out", str(cfg), env_extra={"TWINPROBE_config": str(cfg)})
+    assert proc.returncode == 2
+    assert proc.stderr == f"config error: out {cfg} would overwrite the config file {cfg}\n"
+    assert cfg.read_text() == "kappa = 3\n"
+
+
 def test_dump_config_round_trips(launch_cli, tmp_path):
     first = launch_cli("dump-config", "--kappa", "2.5", "--n-th", "3")
     assert first.returncode == 0
@@ -534,6 +554,13 @@ def test_dump_config_round_trips(launch_cli, tmp_path):
     cfg.write_text(first.stdout)
     second = launch_cli("dump-config", "--config", str(cfg))
     assert second.stdout == first.stdout
+
+
+def test_a_value_dump_config_refuses_is_taken_as_given(launch_cli, tmp_path):
+    proc = launch_cli("fmin", "--out", "run#1.csv")
+    assert proc.returncode == 0
+    assert proc.stdout.endswith("wrote 1 row to run#1.csv\n")
+    assert (tmp_path / "run#1.csv").read_text().startswith("axis,")
 
 
 # one non-default value per RunConfig field, in field order, as dump-config prints it
@@ -586,6 +613,53 @@ def test_every_setting_reaches_config_file_env_and_flag(launch_cli, tmp_path):
     usage = launch_cli("dump-config", "--help").stdout
     for key in NON_DEFAULT:
         assert "--" + key.replace("_", "-") + " " in usage
+
+
+def printed_numbers(text):
+    for word in text.split():
+        try:
+            yield float(word)
+        except ValueError:
+            pass
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    command=st.sampled_from(
+        [("fmin",), ("optimize-kappa",), ("budget",), ("entangle", "--r=2"), ("dump-config",)]
+    ),
+    row=st.sampled_from([row for row in _SETTINGS if row[2] in (float, int)]),
+    value=st.sampled_from(
+        ["default", "typical", "0", "-1", "1e-320", "1e-300", "1e300", "-1e300"]
+    ),
+    where=st.sampled_from(["flag", "env", "file"]),
+)
+def test_scalar_setting_exits_0_2_or_3(launch_cli, tmp_path, command, row, value, where):
+    # one numeric setting at an edge of its range: the command answers, or
+    # refuses it as a configuration error (2) or as a domain error (3)
+    key, default = row[:2]
+    text = {"default": default, "typical": NON_DEFAULT[key]}.get(value, value)
+    args, env = list(command), {}
+    if text is None:  # a setting whose default is unset stays unset
+        pass
+    elif where == "flag":  # --name=value, as argparse reads -1e300 as an option
+        args.append(f"--{key.replace('_', '-')}={text}")
+    elif where == "env":
+        env[f"TWINPROBE_{key.upper()}"] = str(text)
+    else:
+        (tmp_path / "audit.cfg").write_text(f"{key} = {text}\n")
+        args += ["--config", "audit.cfg"]
+    proc = launch_cli(*args, env_extra=env)
+    if proc.returncode == 0:
+        shown = proc.stdout.replace("coherence budget = inf\n", "")
+        assert all(map(math.isfinite, printed_numbers(shown))), proc.stdout
+    elif proc.returncode == 2:
+        assert proc.stderr.startswith(("config error:", "usage: twinprobe")), proc.stderr
+    else:
+        assert proc.returncode == 3, proc
+        assert proc.stderr.startswith("domain error:"), proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -914,6 +988,23 @@ REFUSALS = [
      "config error: cannot read config file missing.cfg: "),
     (("TWINPROBE_INCLUDE_SQL=maybe", "fmin"), 2,
      "config error: TWINPROBE_INCLUDE_SQL: bad value for 'include_sql': not a boolean: 'maybe'"),
+    (("TWINPROBE_KAPPA=2", "TWINPROBE_kappa=3", "dump-config"), 2,
+     "config error: environment variables TWINPROBE_KAPPA and TWINPROBE_kappa both set 'kappa'"),
+    (("TWINPROBE_CONFIG=bad.cfg", "TWINPROBE_config=bad.cfg", "dump-config"), 2,
+     "config error: environment variables TWINPROBE_CONFIG and TWINPROBE_config both set "
+     "'config'"),
+    (("dump-config", "--out", "run#1.csv"), 2,
+     "config error: out = 'run#1.csv' would not read back from a config file"),
+    (("dump-config", "--gnuplot", " p.gp"), 2,
+     "config error: gnuplot = ' p.gp' would not read back from a config file"),
+    (("dump-config", "--out", "run.csv\t"), 2,
+     "config error: out = 'run.csv\\t' would not read back from a config file"),
+    (("dump-config", "--out", "a\nb.csv"), 2,
+     "config error: out = 'a\\nb.csv' would not read back from a config file"),
+    (("dump-config", "--gnuplot", "a\rb.gp"), 2,
+     "config error: gnuplot = 'a\\rb.gp' would not read back from a config file"),
+    (("dump-config", "--r-list", "1,2 "), 2,
+     "config error: r_list = '1,2 ' would not read back from a config file"),
     (("entangle", "--coupling-chi", "-0.1"), 3,
      "domain error: coupling must not soften the relative mode: ratio 0.8944271909999159 < 1"),
 ]

@@ -9,7 +9,6 @@ from conftest import mp_expm, symplectic_form
 from twinprobe._common import DomainError
 from twinprobe.dynamics import (
     ProbeParams,
-    UnstableRegimeError,
     entangled_covariance,
     mode_rotation,
     occupation_from_temperature,
@@ -57,9 +56,9 @@ def test_squeeze_ratio_roundtrip():
 
 def test_unstable_regime_raises():
     # omega + 2*coupling <= 0 has no real relative-mode frequency
-    with pytest.raises(UnstableRegimeError):
+    with pytest.raises(DomainError):
         relative_mode_frequency(ProbeParams(omega=1.0, coupling=-0.9, delta=-1.0))
-    with pytest.raises(UnstableRegimeError, match=r"omega \+ 2\*coupling = 0\.0$"):
+    with pytest.raises(DomainError, match=r"omega \+ 2\*coupling = 0\.0$"):
         relative_mode_frequency(ProbeParams(omega=1.0, coupling=-0.5, delta=-1.0))
 
 

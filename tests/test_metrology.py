@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinprobe._common import SIGNAL_CONSISTENT, SIGNAL_PRINTED, SIGNAL_VARIANTS
+from twinprobe._common import SIGNAL_CONSISTENT, SIGNAL_PRINTED, SIGNAL_VARIANTS, DomainError
 from twinprobe.metrology import (
     MeterParams,
-    UndetectableForceError,
     decoherence_budget,
     f_min,
     noise,
@@ -167,12 +166,12 @@ def test_f_min_improves_with_squeezing():
 
 
 def test_f_min_requires_signal():
-    with pytest.raises(UndetectableForceError):
+    with pytest.raises(DomainError):
         f_min(MeterParams(1.0, 0.0), 1.0, 0.0)
-    with pytest.raises(UndetectableForceError):
+    with pytest.raises(DomainError):
         f_min(MeterParams(0.0, PI / 2), 1.0, 0.0)
     # an array names the first duration whose signal vanishes
-    with pytest.raises(UndetectableForceError, match=r"tau_scaled=1e-120$"):
+    with pytest.raises(DomainError, match=r"tau_scaled=1e-120$"):
         f_min(MeterParams(1.0, np.array([[1.0], [1e-120], [0.0]])), 1.0, 0.0)
 
 

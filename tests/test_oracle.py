@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import mp_expm, symplectic_form
 from twinprobe import oracle
+from twinprobe._common import DomainError
 from twinprobe.dynamics import (
     ProbeParams,
     entangled_covariance,
@@ -22,7 +23,6 @@ from twinprobe.dynamics import (
 from twinprobe.gaussian import VACUUM_VARIANCE, direct_sum, vacuum, validate
 from twinprobe.metrology import MeterParams, noise, phi_opt, signal_coeff
 from twinprobe.oracle import (
-    IntegrationDivergedError,
     VerifyGrid,
     build_entangler_system,
     build_measurement_system,
@@ -184,7 +184,7 @@ def test_measurement_moments_match_closed_forms():
 
 
 def test_integration_divergence_detected():
-    with pytest.raises(IntegrationDivergedError):
+    with pytest.raises(DomainError):
         integrate_moments(5.0 * np.eye(2), np.ones(2), vacuum(1), 0.0, 200.0, step=0.01)
 
 

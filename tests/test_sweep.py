@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from twinprobe._common import DomainError
 from twinprobe.metrology import (
     MeterParams,
-    UndetectableForceError,
     f_min,
     phi_opt,
     sql,
@@ -122,11 +122,11 @@ def test_optimal_kappa_matches_analytic_optimum():
             for k in (best.kappa * (1 - 1e-4), best.kappa * (1 + 1e-4)):
                 m = MeterParams(kappa=k, tau_scaled=tau, phi=phi, signal_variant=variant)
                 assert f_min(m, 10.0, 20.0) > best.f_min
-    with pytest.raises(UndetectableForceError):
+    with pytest.raises(DomainError):
         optimal_kappa(0.0, 1.0, 0.0)
     with pytest.raises(ValueError, match="tau_scaled") as err:
         optimal_kappa(-1.0, 1.0, 0.0)
-    assert not isinstance(err.value, UndetectableForceError)
+    assert not isinstance(err.value, DomainError)
 
 
 def test_optimal_kappa_near_the_float_limits():
