@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 
-from ._common import _SETTINGS, ENV_PREFIX, SIGNAL_VARIANTS, RunConfig
+from ._common import _SETTINGS, ENV_PREFIX, RunConfig, check_domain, check_variant
 
 # Largest grid a sweep accepts: points per ratio, and rows, one per point and
 # squeeze ratio.  The closed forms hold several float temporaries per row.
@@ -113,10 +113,7 @@ def merge_config(args, environ) -> RunConfig:
         if _PARSERS[key] is float and value is not None and not math.isfinite(value):
             raise ValueError(f"{key} must be finite, got {value!r}")
     cfg = RunConfig(**values)
-    if cfg.signal_variant not in SIGNAL_VARIANTS:
-        raise ValueError(
-            f"signal_variant must be one of {SIGNAL_VARIANTS}, got {cfg.signal_variant!r}"
-        )
+    check_variant(cfg.signal_variant)
     if cfg.phi != "opt":
         try:
             phi = float(cfg.phi)
@@ -124,12 +121,7 @@ def merge_config(args, environ) -> RunConfig:
             phi = math.nan
         if not math.isfinite(phi):
             raise ValueError(f"phi must be 'opt' or a finite number, got {cfg.phi!r}")
-    if cfg.jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {cfg.jobs}")
-    if not cfg.tolerance > 0:
-        raise ValueError(f"tolerance must be positive, got {cfg.tolerance}")
-    if cfg.points < 2:
-        raise ValueError(f"points must be at least 2, got {cfg.points}")
+    check_domain(("jobs", cfg.jobs), ("tolerance", cfg.tolerance), ("points", cfg.points))
     if cfg.points > MAX_POINTS:
         raise ValueError(f"points must be at most {MAX_POINTS}, got {cfg.points}")
     for key in ("r", "kappa"):

@@ -3,9 +3,11 @@
 This module imports nothing beyond the standard library, so the front end
 can build its parser and report errors without loading numpy.  It also
 holds the settings schema, which the parser and the configuration merge
-both read; ``twinprobe.cli`` exports ``RunConfig``.  ``DomainError`` is
-the one exception that exits 3 on the command line; it is not a
-``ValueError``, the exception that exits 2.
+both read; ``twinprobe.cli`` exports ``RunConfig``.  ``DOMAINS`` holds the
+domain of each bounded quantity once, and every layer refuses a value
+outside it through ``check_domain`` (or ``check_variant``), with a
+``ValueError``, the exception that exits 2.  ``DomainError`` is the one
+exception that exits 3: valid inputs at which the physics has no answer.
 """
 
 import math
@@ -16,6 +18,33 @@ __all__ = ["SIGNAL_CONSISTENT", "SIGNAL_PRINTED", "SIGNAL_VARIANTS", "DomainErro
 SIGNAL_CONSISTENT = "consistent"
 SIGNAL_PRINTED = "printed"
 SIGNAL_VARIANTS = (SIGNAL_CONSISTENT, SIGNAL_PRINTED)
+
+
+# Each bounded quantity's domain: its least value, whether that value itself
+# is allowed, and the wording of the refusal "<quantity> must be <wording>".
+DOMAINS = {
+    **dict.fromkeys(("omega", "hbar_over_kb", "tolerance"), (0.0, False, "positive")),
+    **dict.fromkeys(("n_th", "gamma_mech", "temperature", "kappa"), (0.0, True, "nonnegative")),
+    **dict.fromkeys(("tau_scaled", "tau", "t"), (0.0, True, "nonnegative")),
+    **dict.fromkeys(("squeeze ratio", "n_modes"), (1.0, True, ">= 1")),
+    "points": (2, True, "at least 2"),
+    "jobs": (1, True, "at least 1"),
+}
+
+
+def check_domain(*pairs) -> None:
+    """ValueError naming the first ``(quantity, value)`` pair outside its ``DOMAINS`` row."""
+    for quantity, value in pairs:
+        least, allowed, wording = DOMAINS[quantity]
+        inside = value >= least if allowed else value > least  # False at nan
+        if inside is not True and (inside is False or not inside.all()):  # an array: every entry
+            raise ValueError(f"{quantity} must be {wording}, got {value}")
+
+
+def check_variant(variant) -> None:
+    """ValueError unless the signal variant ``variant`` is one of SIGNAL_VARIANTS."""
+    if variant not in SIGNAL_VARIANTS:
+        raise ValueError(f"signal_variant must be one of {SIGNAL_VARIANTS}, got {variant!r}")
 
 
 class DomainError(Exception):

@@ -15,7 +15,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from ._common import DomainError, finite
+from ._common import DomainError, check_domain, finite
 from .gaussian import VACUUM_VARIANCE, _read_only
 
 __all__ = [
@@ -49,12 +49,7 @@ class ProbeParams(namedtuple("ProbeParams", "omega coupling delta n_th gamma_mec
     __slots__ = ()
 
     def __new__(cls, omega, coupling=0.0, delta=None, n_th=0.0, gamma_mech=0.0):
-        if omega <= 0:
-            raise ValueError(f"omega must be positive, got {omega}")
-        if n_th < 0:
-            raise ValueError(f"n_th must be nonnegative, got {n_th}")
-        if gamma_mech < 0:
-            raise ValueError(f"gamma_mech must be nonnegative, got {gamma_mech}")
+        check_domain(("omega", omega), ("n_th", n_th), ("gamma_mech", gamma_mech))
         if delta is not None:
             if delta == 0:
                 raise ValueError("delta must be nonzero")
@@ -77,8 +72,7 @@ class ProbeParams(namedtuple("ProbeParams", "omega coupling delta n_th gamma_mec
         gamma_mech: float = 0.0,
     ) -> "ProbeParams":
         """Build params whose normal-mode frequency ratio equals ``ratio`` (>= 1)."""
-        if ratio < 1.0:
-            raise ValueError(f"squeeze ratio must be >= 1, got {ratio}")
+        check_domain(("squeeze ratio", ratio))
         return cls(omega, omega * (ratio**2 - 1.0) / 2.0, delta, n_th, gamma_mech)
 
 
@@ -119,8 +113,7 @@ def transfer_matrix(p: ProbeParams, t: float) -> np.ndarray:
 
 def thermal_covariance(n_th: float) -> np.ndarray:
     """Uncorrelated thermal covariance of the two probes, (1/2 + n_th) I."""
-    if n_th < 0:
-        raise ValueError(f"n_th must be nonnegative, got {n_th}")
+    check_domain(("n_th", n_th))
     return _read_only((VACUUM_VARIANCE + n_th) * np.eye(4))
 
 
@@ -133,12 +126,7 @@ def occupation_from_temperature(
     of the package treats n_th as a free input, so callers who prefer the
     Bose occupation can pass that instead.
     """
-    if temperature < 0:
-        raise ValueError(f"temperature must be nonnegative, got {temperature}")
-    if omega <= 0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    if hbar_over_kb <= 0:
-        raise ValueError(f"hbar_over_kb must be positive, got {hbar_over_kb}")
+    check_domain(("temperature", temperature), ("omega", omega), ("hbar_over_kb", hbar_over_kb))
     if temperature == 0:
         return 1.0
     # halved last, so a huge temperature cannot overflow 2 T; x underflows to 0
@@ -155,10 +143,7 @@ def entangled_covariance(ratio: float, n_th: float) -> np.ndarray:
     variance antisqueezed by the same factor; the + combinations stay
     thermal.  ``ratio`` is the normal-mode frequency ratio, >= 1.
     """
-    if ratio < 1.0:
-        raise ValueError(f"squeeze ratio must be >= 1, got {ratio}")
-    if n_th < 0:
-        raise ValueError(f"n_th must be nonnegative, got {n_th}")
+    check_domain(("squeeze ratio", ratio), ("n_th", n_th))
     scale = 0.5 * (VACUUM_VARIANCE + n_th)
     rm2 = ratio**-2
     rp2 = ratio**2

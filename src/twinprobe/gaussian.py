@@ -19,6 +19,8 @@ from collections import namedtuple
 
 import numpy as np
 
+from ._common import check_domain
+
 __all__ = [
     "PSD_TOLERANCE",
     "UNCERTAINTY_TOLERANCE",
@@ -67,8 +69,7 @@ class ValidationReport(
 
 def vacuum(n_modes: int) -> np.ndarray:
     """Vacuum covariance of ``n_modes`` modes: variance 1/2 per quadrature."""
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
+    check_domain(("n_modes", n_modes))
     return _read_only(VACUUM_VARIANCE * np.eye(2 * n_modes))
 
 

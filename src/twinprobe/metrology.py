@@ -19,7 +19,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from ._common import SIGNAL_CONSISTENT, SIGNAL_PRINTED, SIGNAL_VARIANTS, DomainError, finite
+from ._common import SIGNAL_CONSISTENT, SIGNAL_PRINTED, DomainError, finite
+from ._common import check_domain, check_variant
 
 __all__ = [
     "MeterParams",
@@ -51,14 +52,8 @@ class MeterParams(namedtuple("MeterParams", "kappa tau_scaled phi signal_variant
     __slots__ = ()
 
     def __new__(cls, kappa, tau_scaled, phi=0.0, signal_variant=SIGNAL_CONSISTENT):
-        if np.any(kappa < 0):
-            raise ValueError(f"kappa must be nonnegative, got {kappa}")
-        if np.any(tau_scaled < 0):
-            raise ValueError(f"tau_scaled must be nonnegative, got {tau_scaled}")
-        if signal_variant not in SIGNAL_VARIANTS:
-            raise ValueError(
-                f"signal_variant must be one of {SIGNAL_VARIANTS}, got {signal_variant!r}"
-            )
+        check_domain(("kappa", kappa), ("tau_scaled", tau_scaled))
+        check_variant(signal_variant)
         return super().__new__(cls, kappa, tau_scaled, phi, signal_variant)
 
     @classmethod
@@ -106,10 +101,7 @@ def noise(m: MeterParams, ratio, n_th):
     antisqueezed term leaves the readout, and at ratio 1 the psi term is
     multiplied by exactly 0: for any finite phi the bracket is 1.  Always >= 1.
     """
-    if np.any(ratio < 1.0):
-        raise ValueError(f"squeeze ratio must be >= 1, got {ratio}")
-    if np.any(n_th < 0):
-        raise ValueError(f"n_th must be nonnegative, got {n_th}")
+    check_domain(("squeeze ratio", ratio), ("n_th", n_th))
     t = m.tau_scaled
     # numpy's power: a float kappa above ~1.3e154 squares to inf, where
     # Python's raises OverflowError; the bits are pow's, unlike kappa * kappa
@@ -130,8 +122,7 @@ def phi_opt(tau_scaled):
     exact pi; a multiple of the rounded pi would be off by k ulp.  Takes a
     float or an array.
     """
-    if np.any(tau_scaled < 0):
-        raise ValueError(f"tau_scaled must be nonnegative, got {tau_scaled}")
+    check_domain(("tau_scaled", tau_scaled))
     phi = -np.arctan(np.tan(0.5 * tau_scaled))
     return np.where(phi > -0.5 * np.pi, phi, phi + np.pi)[()]
 
@@ -182,8 +173,7 @@ def decoherence_budget(p, phi: float, tau: float) -> DecoherenceBudget:
     equivalent of phi is charged.  ``tau`` is the physical force time.  A
     time beyond the float range raises DomainError naming it.
     """
-    if tau < 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
+    check_domain(("tau", tau))
     rotation_time = finite("rotation time", float(phi % (2.0 * math.pi)) / p.omega)
     time_used = finite("time used", rotation_time + finite("force time", tau))
     rate = p.gamma_mech * p.n_th

@@ -34,7 +34,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from ._common import SIGNAL_PRINTED, DomainError
+from ._common import SIGNAL_PRINTED, DomainError, check_domain
 from .dynamics import (
     ProbeParams,
     entangled_covariance,
@@ -166,8 +166,7 @@ def propagator(a, t, step) -> np.ndarray:
     """
     t, step = float(t), float(step)
     _check_step(step)
-    if not t >= 0:  # also catches nan
-        raise ValueError(f"t must be nonnegative, got {t!r}")
+    check_domain(("t", t))
     if t / step > MAX_STEPS:  # also catches inf
         raise ValueError(f"step {step!r} needs over {MAX_STEPS} RK4 steps for t={t:g}")
     n = math.ceil(t / step)

@@ -15,7 +15,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from ._common import SIGNAL_CONSISTENT, SIGNAL_VARIANTS, DomainError
+from ._common import SIGNAL_CONSISTENT, DomainError, check_domain, check_variant
 from .metrology import (
     MeterParams,
     f_min_from,
@@ -73,16 +73,13 @@ class SweepSpec(namedtuple("SweepSpec", _SPEC_DEFAULTS, defaults=_SPEC_DEFAULTS.
             raise ValueError(f"axis must be one of {_AXES}, got {self.axis!r}")
         if not (self.lo > 0 and self.hi > self.lo):
             raise ValueError(f"need 0 < lo < hi, got lo={self.lo} hi={self.hi}")
-        if self.points < 2:
-            raise ValueError(f"points must be at least 2, got {self.points}")
-        if self.kappa <= 0 or self.tau_scaled <= 0:
+        check_domain(("points", self.points))
+        if not (self.tau_scaled if self.axis == "kappa" else self.kappa) > 0:
             raise ValueError("held kappa and tau_scaled must be positive")
-        if self.n_th < 0:
-            raise ValueError(f"n_th must be nonnegative, got {self.n_th}")
+        check_domain(("n_th", self.n_th))
         if not self.ratios or any(r < 1.0 for r in self.ratios):
             raise ValueError(f"ratios must be nonempty and >= 1, got {self.ratios}")
-        if self.signal_variant not in SIGNAL_VARIANTS:
-            raise ValueError(f"unknown signal variant {self.signal_variant!r}")
+        check_variant(self.signal_variant)
         return self
 
     @classmethod
@@ -185,8 +182,7 @@ def fmin_curve(spec: SweepSpec, jobs: int = 1) -> np.recarray:
     ``fmin_columns``.  ``jobs`` must be at least 1 and changes nothing; the
     command line's ``--jobs`` sets the processes that format the CSV.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    check_domain(("jobs", jobs))
     columns = curve_columns(spec)
     shape = np.broadcast_shapes(*(column.shape for column in columns.values()))
     rows = np.empty(shape, [(name, float) for name in columns])
@@ -217,8 +213,7 @@ def optimal_kappa(
     occupation or the variant.  Its f_min is the ``fmin_columns`` value, so a
     non-finite one raises DomainError.
     """
-    if tau_scaled < 0:
-        raise ValueError(f"tau_scaled must be nonnegative, got {tau_scaled}")
+    check_domain(("tau_scaled", tau_scaled))
     ramp = t_minus_sin(tau_scaled)
     if not ramp > 0.0:
         raise DomainError(f"signal transfer vanishes at tau_scaled={tau_scaled}")

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from twinprobe import _commands, _csv, cli, dynamics
-from twinprobe._common import _SETTINGS
+from twinprobe._common import _SETTINGS, DOMAINS
 from twinprobe.cli import RunConfig
 from twinprobe.metrology import phi_opt
 from twinprobe.sweep import curve_columns, fig1_spec, fmin_columns
@@ -662,6 +663,81 @@ def test_scalar_setting_exits_0_2_or_3(launch_cli, tmp_path, command, row, value
         assert proc.stderr.startswith("domain error:"), proc.stderr
 
 
+# each setting with a row in the domain table, --r under its quantity's row
+BOUNDED = [row[0] for row in _SETTINGS if row[0] in DOMAINS] + ["r"]
+
+
+def bound_edges(key):
+    """The least value of ``key``'s domain row, just inside it and just outside it."""
+    least = DOMAINS["squeeze ratio" if key == "r" else key][0]
+    if isinstance(least, int):  # a count
+        return least, least + 1, least - 1
+    return least, math.nextafter(least, math.inf), math.nextafter(least, -math.inf)
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    command=st.sampled_from(["fig1", "fig2", "entangle"]),
+    key=st.sampled_from(BOUNDED),
+    edge=st.sampled_from([0, 1, 2]),
+    in_file=st.booleans(),
+    points=st.sampled_from([3, 4]),
+    include_sql=st.booleans(),
+    step=st.sampled_from([None, 1e-9, 0.01, 1.0]),
+    delta=st.sampled_from([1.0, 100.0, 1e7, 1e300]),
+    out=st.sampled_from([None, "a.csv", "b.csv", "run.cfg"]),
+    gnuplot=st.sampled_from([None, None, "p.gp", "a.csv", "run.cfg"]),
+)
+def test_sweep_and_full_model_exit_0_2_or_3_at_each_bound(
+    launch_cli, tmp_path, command, key, edge, in_file, points, include_sql, step, delta, out,
+    gnuplot,
+):
+    # one bounded setting at, just inside or just outside its declared bound,
+    # as a flag or from the config file; the other settings stay ordinary
+    for path in tmp_path.iterdir():  # the files of the previous example
+        path.unlink()
+    value = bound_edges(key)[edge]
+    if key == "r" and command != "entangle":
+        key, value = "r_list", f"{value!r},2"  # a sweep reads its ratios from --r-list
+    values = {"points": points, "include_sql": str(include_sql).lower(), key: value}
+    args = [command, "--config", "run.cfg"]
+    if command == "entangle":
+        args += ["--full-model", f"--delta={delta!r}"] + (["--r=2"] if key != "r" else [])
+        args += [f"--step={step!r}"] if step is not None else []
+    args += [f"--{name}={path}" for name, path in (("out", out), ("gnuplot", gnuplot)) if path]
+    if not in_file:
+        args.append(f"--{key.replace('_', '-')}={values.pop(key)}")
+    config = "".join(f"{name} = {text}\n" for name, text in values.items())
+    (tmp_path / "run.cfg").write_text(config)
+    started = time.perf_counter()
+    proc = launch_cli(*args)
+    assert time.perf_counter() - started < 5.0
+    assert (tmp_path / "run.cfg").read_text() == config  # no output overwrites the input
+    if proc.returncode == 2:
+        assert proc.stderr.startswith(("config error:", "usage: twinprobe")), proc.stderr
+        return
+    if proc.returncode == 3:
+        assert proc.stderr.startswith("domain error:"), proc.stderr
+        return
+    assert proc.returncode == 0, proc
+    if command == "entangle":
+        assert all(map(math.isfinite, printed_numbers(proc.stdout))), proc.stdout
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["run.cfg"]
+        return
+    # the CSV is neither the config file nor overwritten by the gnuplot script
+    lines = (tmp_path / (out or f"{command}.csv")).read_text().splitlines()
+    assert lines[0] == "axis,r,phi_opt,signal,noise,f_min,f_sql"
+    assert len(lines) == 1 + (value if key == "points" else points) * (2 if key == "r_list" else 3)
+    for line in lines[1:]:
+        fields = [float(field) for field in line.split(",")]
+        assert all(map(math.isfinite, fields if include_sql else fields[:-1])), line
+        assert include_sql or math.isnan(fields[-1])
+    if gnuplot:
+        assert (tmp_path / gnuplot).read_text().startswith("set datafile separator")
+
+
 @pytest.mark.parametrize(
     "args, env, cfg_text, key",
     [
@@ -961,6 +1037,16 @@ def test_too_few_points_is_config_error_for_every_command(launch_cli, tmp_path, 
     proc = launch_cli(command, "--points", points)
     assert proc == (2, "", f"config error: points must be at least 2, got {points}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, unread", [("fig2", "--kappa=-1"), ("fig2", "--kappa=0"), ("fig1", "--tau-scaled=-1")]
+)
+def test_sweep_ignores_the_held_setting_its_axis_replaces(launch_cli, tmp_path, command, unread):
+    # fig2 sweeps kappa and fig1 tau_scaled, so neither reads that setting's value
+    assert launch_cli(command, "--out", "plain.csv").returncode == 0
+    assert launch_cli(command, unread, "--out", "given.csv").returncode == 0
+    assert (tmp_path / "given.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
 # exit code and stderr of refusals that no other test reaches

@@ -2,6 +2,7 @@
 
 These tests check module footprints, not timings.
 """
+import ast
 import importlib
 import json
 import os
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import twinprobe
+from twinprobe._common import DOMAINS
 
 SRC = str(Path(twinprobe.__file__).resolve().parent.parent)
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -240,3 +242,44 @@ def test_removed_names_are_gone():
         if hasattr(owner, name) or name in getattr(owner, "__all__", ()):
             present.append(dotted)
     assert present == []
+
+
+def _refusal_texts(path):
+    """Line and leading literal text of each ``raise ValueError(...)`` in the module ``path``."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        call = node.exc if isinstance(node, ast.Raise) else None
+        if not (isinstance(call, ast.Call) and getattr(call.func, "id", "") == "ValueError"):
+            continue
+        parts = call.args[:1]
+        if parts and isinstance(parts[0], ast.JoinedStr):  # an f-string: its leading literals
+            parts = parts[0].values
+        text = ""
+        for part in parts:
+            if not (isinstance(part, ast.Constant) and isinstance(part.value, str)):
+                break
+            text += part.value
+        yield node.lineno, text
+
+
+def test_domain_refusals_are_written_only_in_the_table():
+    # a bespoke check of a quantity with a row, such as the points cap, says
+    # something other than the row's "<quantity> must be <wording>"
+    refusals = tuple(f"{quantity} must be {row[2]}" for quantity, row in DOMAINS.items())
+    copies = [
+        f"{path.name}:{line}: {text}"
+        for path in sorted(Path(SRC, "twinprobe").glob("*.py"))
+        if path.name != "_common.py"
+        for line, text in _refusal_texts(path)
+        if text.startswith((*refusals, "signal_variant must be one of"))
+    ]
+    assert copies == []
+
+
+def test_each_domain_row_is_in_the_readme():
+    section = README.read_text().split("### Domains", 1)[1].split("\n#", 1)[0]
+    missing = [
+        quantity
+        for quantity, (_, _, wording) in DOMAINS.items()
+        if f"| `{quantity} must be {wording}` |" not in section
+    ]
+    assert missing == []
