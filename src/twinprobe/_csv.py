@@ -1,4 +1,4 @@
-"""The CSV text of sweep columns, formatted in blocks by up to ``jobs`` processes.
+"""The CSV of sweep columns, formatted as bytes in blocks by up to ``jobs`` processes.
 
 Only the commands that write a CSV import this module, so the others do not
 compile it.
@@ -71,10 +71,10 @@ def _threads() -> int:
 def _blocks(axis: str, columns):
     """(block count, function giving the CSV bytes of block i).
 
-    A block holds whole grid points, about BLOCK_ROWS rows.  Nearly all the
-    time goes to ``%.12g``, so a column that is constant along an axis is
-    formatted once along it and its text repeated; the text is the same as
-    formatting every value of every row.
+    A block holds whole grid points, about BLOCK_ROWS rows, formatted as bytes
+    by one ``%``, whose ``%.12g`` gives the digits of ``str %``.  Nearly all
+    the time goes to ``%.12g``, so a column constant along an axis is formatted
+    once along it and its text repeated, the same text as every row's value.
     """
     names = (axis, "ratio", "phi", "signal", "noise", "f_min", "f_sql")
     arrays = [np.asarray(columns[name], dtype=float) for name in names]
@@ -93,17 +93,16 @@ def _blocks(axis: str, columns):
                 values = values[lo : lo + count]
             if values.shape == (count, ratios):
                 fields[k::width] = values.ravel().tolist()
-                formats.append("%.12g")
+                formats.append(b"%.12g")
                 continue
             # one value per point, per ratio or in all: its text goes into every row
-            texts = ("%.12g\n" * values.size % tuple(values.ravel().tolist())).split("\n")[:-1]
+            texts = (b"%.12g\n" * values.size % tuple(values.ravel().tolist())).split(b"\n")[:-1]
             for j in range(ratios):
                 fields[width * j + k :: width * ratios] = (
                     texts if len(values) > 1 else [texts[j % len(texts)]] * count
                 )
-            formats.append("%s")
-        text = (",".join(formats) + "\n") * (count * ratios) % tuple(fields)
-        return text.encode("ascii")
+            formats.append(b"%s")
+        return (b",".join(formats) + b"\n") * (count * ratios) % tuple(fields)
 
     return -(-points // step), block
 

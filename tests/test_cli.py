@@ -21,7 +21,7 @@ from twinprobe import _commands, _csv, cli, dynamics
 from twinprobe._common import _SETTINGS, DOMAINS
 from twinprobe.cli import RunConfig
 from twinprobe.metrology import phi_opt
-from twinprobe.sweep import curve_columns, fig1_spec, fmin_columns
+from twinprobe.sweep import curve_columns, fig1_spec, fig2_spec, fmin_columns
 
 PI = math.pi
 
@@ -738,6 +738,51 @@ def test_sweep_and_full_model_exit_0_2_or_3_at_each_bound(
         assert (tmp_path / gnuplot).read_text().startswith("set datafile separator")
 
 
+def cap_draws():
+    """(flags, refusal or None) at, just inside and just outside each ``MAX_*`` cap.
+
+    The caps have no row in the domain table; ``merge_config`` applies them
+    to every command.  A refusal is the text after ``config error: ``.
+    """
+    cap, rows, scale = _commands.MAX_POINTS, _commands.MAX_ROWS, _commands.MAX_SCALE
+    draws = [
+        (("--points", str(cap)), None),
+        (("--points", str(cap - 1)), None),
+        (("--points", str(cap + 1)), f"points must be at most {cap}, got {cap + 1}"),
+    ]
+    # points x ratios at the row cap, just under it, and one row over it
+    # (11 ratios x 909091 points)
+    ratios = rows // cap
+    for count, n in ((ratios, cap), (ratios, cap - 1), (ratios + 1, rows // (ratios + 1) + 1)):
+        refusal = f"points * len(r_list) must be at most {rows}, got {n} * {count}"
+        flags = ("--points", str(n), "--r-list", ",".join(["2"] * count))
+        draws.append((flags, refusal if n * count > rows else None))
+    above = math.nextafter(scale, math.inf)
+    too_large = f"must be at most {scale:g} in magnitude, got "
+    for value in (scale, math.nextafter(scale, 0), -scale, above, -above):
+        for flag, text in (("r", value), ("kappa", value), ("r-list", f"2,{value!r}")):
+            key = "r_list entries" if flag == "r-list" else flag
+            refusal = f"{key} {too_large}{text!r}" if abs(value) > scale else None
+            draws.append(((f"--{flag}={text}",), refusal))
+    return draws
+
+
+@pytest.mark.parametrize(
+    "flags, refusal",
+    cap_draws(),
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else ("refused" if v else "accepted"),
+)
+def test_caps_exit_0_inside_and_2_outside(launch_cli, tmp_path, flags, refusal):
+    # inside a cap, dump-config runs the checks of every command without
+    # writing a sweep; outside it, a sweep refuses before writing anything
+    if refusal is None:
+        assert launch_cli("dump-config", *flags).returncode == 0
+        return
+    for command in ("dump-config", "fig1"):
+        assert launch_cli(command, *flags) == (2, "", f"config error: {refusal}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "args, env, cfg_text, key",
     [
@@ -973,12 +1018,43 @@ def edge_value_columns(points, axis, include_sql):
     }
 
 
+def every_exponent_columns(axis, include_sql):
+    """Columns holding 5000 doubles of every binary exponent, and ``%.12g`` ties.
+
+    The values are built from bits: ±0, ±inf and three 13-digit ties that
+    ``%.12g`` rounds half-even, then 32 NaN payloads and 32 subnormals, then
+    each of the 2048 biased exponents, all with random signs and mantissas.
+    Each value goes to a per-row column, formatted by ``%.12g`` in the row,
+    and to a per-point one, whose text goes in by ``%s``.
+    """
+    rng = np.random.default_rng(37)
+    every = rng.permutation(np.resize(np.arange(2048), 4927))
+    exponents = np.concatenate([np.zeros(9), np.full(32, 2047), np.zeros(32), every])
+    exponents = exponents.astype(np.uint64)
+    signs = rng.integers(0, 2, 5000, dtype=np.uint64)
+    mantissas = rng.integers(1, 2**52, 5000, dtype=np.uint64)
+    values = (signs << np.uint64(63) | exponents << np.uint64(52) | mantissas).view(np.float64)
+    ties = [1234567890125.0, 1234567890135.0, 1234567890.125]
+    values[:9] = [0.0, -0.0, math.inf, -math.inf, *ties, *(-v for v in ties[:2])]
+    return {
+        axis: values[::2, None],
+        "ratio": np.array([[ties[2], values[9]]]),
+        "phi": values[:2500, None],
+        "signal": values[2500:, None],
+        "noise": values.reshape(2500, 2),
+        "f_min": values[::-1].reshape(2500, 2),
+        "f_sql": values[1::2, None] if include_sql else np.array(math.nan),
+    }
+
+
 @pytest.mark.parametrize("include_sql", [True, False])
 @pytest.mark.parametrize("axis", ["tau_scaled", "kappa"])
-@pytest.mark.parametrize("case", [1, B - 1, B, B + 1, 3 * B + 7, "edge_values"])
+@pytest.mark.parametrize("case", [1, B - 1, B, B + 1, 3 * B + 7, "edge_values", "every_exponent"])
 def test_csv_block_writer_matches_one_shot_join(tmp_path, case, axis, include_sql):
     if case == "edge_values":
         layouts = [edge_value_columns(B + 2, axis, include_sql)]
+    elif case == "every_exponent":
+        layouts = [every_exponent_columns(axis, include_sql)]
     else:
         # one row per point with its own ratio, and the sweep's points x three ratios
         n = case
@@ -994,6 +1070,26 @@ def test_csv_block_writer_matches_one_shot_join(tmp_path, case, axis, include_sq
         out = tmp_path / "rows.csv"
         _commands._write_csv(str(out), axis, columns)
         assert out.read_bytes() == one_shot_csv(axis, columns)
+    if case == "every_exponent":
+        # the 13-digit ties round half-even
+        ties = (b"1.23456789012e+12,", b"1.23456789014e+12,", b"1234567890.12,")
+        assert all(tie in out.read_bytes() for tie in ties)
+
+
+@pytest.mark.parametrize("fig", ["fig1", "fig2"])
+def test_forked_csv_at_the_bench_size_matches_one_shot_join(
+    launch_cli, monkeypatch, tmp_path, fig
+):
+    # 20 000 points and three ratios make 15 blocks, split between this
+    # process and one worker
+    fork_on_any_host(monkeypatch)
+    out = tmp_path / "out.csv"
+    args = ("--points", "20000", "--r-list", "1.3,4.2,8.8", "--jobs", "2", "--out", str(out))
+    proc = launch_cli(fig, *args)
+    assert proc == (0, f"wrote 60000 rows to {out}\n", "")
+    assert_no_child_process()
+    spec = (fig1_spec if fig == "fig1" else fig2_spec)(points=20000, ratios=(1.3, 4.2, 8.8))
+    assert out.read_bytes() == one_shot_csv(spec.axis, curve_columns(spec))
 
 
 def test_csv_block_writer_memory_does_not_grow_with_rows(tmp_path):
