@@ -16,26 +16,28 @@ Exit codes: 0 success, 1 stdout closed before all output was written, 2
 configuration error, 3 physics domain error (unstable regime, vanishing
 signal, diverged integration), 4 closed-form verification failure.
 
-What each entry point compiles: the ``twinprobe`` script and ``python -m
-twinprobe.cli`` compile this module and ``_common`` (``python -m twinprobe``
-its ``__main__`` as well), which import only standard library modules that
-argparse loads anyway.  ``--help`` and a usage error compile nothing more.
-Once argparse accepts a command, ``main`` imports ``_commands``, which
-merges the configuration and holds the command bodies, and each command
-imports the numerical layers it uses when it runs.  So ``dump-config`` and a
-rejected configuration load no numpy, and no command loads ``dataclasses``.
-Unless numpy is loaded already, ``main`` sets OPENBLAS_NUM_THREADS to 1
-where the environment does not set it.
+Every process enters through ``run``: the ``twinprobe`` script, ``python -m
+twinprobe`` and ``python -m twinprobe.cli``.  Each compiles this module and
+``_common`` (``python -m twinprobe`` its ``__main__`` as well), which import
+only the built-in ``gc`` and standard library modules that argparse loads
+anyway.  ``--help`` and a usage error compile nothing more.  Once argparse
+accepts a command, ``main`` imports ``_commands``, which merges the
+configuration and holds the command bodies, and each command imports the
+numerical layers it uses when it runs.  So ``dump-config`` and a rejected
+configuration load no numpy, and no command loads ``dataclasses``.  Unless
+numpy is loaded already, ``main`` sets OPENBLAS_NUM_THREADS to 1 where the
+environment does not set it.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
 from ._common import _SETTINGS, DomainError, RunConfig, _parse_bool
 
-__all__ = ["RunConfig", "build_parser", "main"]
+__all__ = ["RunConfig", "build_parser", "main", "run"]
 
 EXIT_OK = 0
 EXIT_CLOSED_STDOUT = 1
@@ -150,5 +152,20 @@ def main(argv=None) -> int:
     return EXIT_OK if passed else EXIT_VERIFY
 
 
+def run() -> None:
+    """The process entry: exit with ``main``'s code.
+
+    Once ``main`` returns or raises, the collector is frozen, so the
+    collections of interpreter exit skip every object it is about to free,
+    numpy's included.  atexit handlers, the flush of stdout and stderr, and
+    profilers still run.  ``main`` called in-process leaves the collector as
+    it is.
+    """
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

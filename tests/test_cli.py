@@ -1,3 +1,4 @@
+import gc
 import importlib
 import json
 import math
@@ -738,6 +739,52 @@ def test_sweep_and_full_model_exit_0_2_or_3_at_each_bound(
         assert (tmp_path / gnuplot).read_text().startswith("set datafile separator")
 
 
+LO_HI = "config error: need 0 < lo < hi"
+HELD = "config error: held kappa and tau_scaled must be positive"
+VANISHES = "domain error: signal transfer vanishes"
+# the sweep bounds that have no DOMAINS row: 0 < lo < hi on the axis, and a
+# positive held value (fig1 holds kappa, fig2 tau_scaled)
+BESPOKE_DRAWS = [
+    *(
+        (command, flags, code, refusal)
+        for command in ("fig1", "fig2")
+        for flags, code, refusal in [
+            (["--axis-lo=0", "--axis-hi=2"], 2, LO_HI),
+            (["--axis-lo=-1", "--axis-hi=2"], 2, LO_HI),
+            (["--axis-lo=2", "--axis-hi=2"], 2, LO_HI),
+            (["--axis-lo=3", "--axis-hi=2"], 2, LO_HI),
+            (["--axis-lo=1", f"--axis-hi={math.nextafter(1.0, math.inf)!r}"], 0, ""),
+            (["--axis-lo=5e-324", "--axis-hi=1e-300"], 3,
+             VANISHES if command == "fig1" else "domain error: f_min is not finite"),
+        ]
+    ),
+    ("fig1", ["--kappa=0"], 2, HELD),
+    ("fig2", ["--tau-scaled=0"], 2, HELD),
+    ("fig1", ["--kappa=5e-324"], 3, VANISHES),
+    ("fig2", ["--tau-scaled=5e-324"], 3, VANISHES),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flags, code, refusal",
+    BESPOKE_DRAWS,
+    ids=[" ".join([command, *flags]) for command, flags, *_ in BESPOKE_DRAWS],
+)
+def test_sweep_bespoke_bounds_exit_as_declared(
+    launch_cli, tmp_path, command, flags, code, refusal
+):
+    proc = launch_cli(command, "--points=3", *flags)
+    assert (proc.returncode, proc.stderr.startswith(refusal)) == (code, True), proc
+    written = sorted(path.name for path in tmp_path.iterdir())
+    if code:
+        assert written == []
+        return
+    assert written == [f"{command}.csv"]
+    lines = (tmp_path / written[0]).read_text().splitlines()
+    assert len(lines) == 1 + 3 * 3
+    assert all(math.isfinite(float(field)) for line in lines[1:] for field in line.split(","))
+
+
 def cap_draws():
     """(flags, refusal or None) at, just inside and just outside each ``MAX_*`` cap.
 
@@ -922,19 +969,32 @@ def test_console_script_names_cli_main(launch_cli, monkeypatch, capsys):
     target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["twinprobe"]
     module, _, name = target.partition(":")
     entry = getattr(importlib.import_module(module), name)
-    assert entry is cli.main
+    assert entry is cli.run
     monkeypatch.setattr(sys, "argv", ["twinprobe", "fmin", "--tau-scaled", "1.0"])
-    assert entry() == 0
+    try:
+        with pytest.raises(SystemExit) as exit_info:
+            entry()
+    finally:
+        gc.unfreeze()  # the entry froze this process's collector on its way out
+    assert exit_info.value.code == 0
     assert "f_min = " in capsys.readouterr().out
 
 
 @pytest.mark.skipif(shutil.which("twinprobe") is None, reason="script not on PATH")
-def test_console_script_entry_point():
-    proc = subprocess.run(
-        ["twinprobe", "fmin", "--tau-scaled", "1.0"], capture_output=True, text=True
-    )
-    assert proc.returncode == 0
-    assert "f_min" in proc.stdout
+def test_console_script_entry_point(tmp_path):
+    # the script and both module routes end alike: same streams, same code
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), COLUMNS="80")
+    module = [sys.executable, "-m"]
+    routes = [["twinprobe"], [*module, "twinprobe.cli"], [*module, "twinprobe"]]
+    for argv, code in [(["fmin"], 0), (["--help"], 0), (["fmn"], 2)]:
+        script, *modules = [
+            subprocess.run([*route, *argv], capture_output=True, text=True, env=env, cwd=tmp_path)
+            for route in routes
+        ]
+        ended = (script.returncode, script.stdout, script.stderr)
+        assert [(proc.returncode, proc.stdout, proc.stderr) for proc in modules] == [ended] * 2
+        assert script.returncode == code
+        assert ("f_min = " in script.stdout) == (argv == ["fmin"])
 
 
 # The commands that print, each with a stdout whose reader is gone; fig1

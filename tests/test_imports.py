@@ -189,6 +189,38 @@ def test_package_entry_point_prints_the_same_help(tmp_path):
     assert front.stdout.startswith("usage: twinprobe ")
 
 
+# atexit runs its handlers last in, first out, so one registered before the
+# entry runs after everything the entry's modules register
+_EXIT_REPORT = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0, file=sys.stderr))
+runpy.run_module("twinprobe.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_process_exit_freezes_the_collector_and_still_runs_atexit(tmp_path):
+    env = dict(os.environ, PYTHONPATH=SRC)
+
+    def start(*args):
+        return subprocess.Popen(
+            [sys.executable, *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, env=env, cwd=tmp_path,
+        )
+
+    codes = {("fmin",): 0, ("fmn",): 2, ("entangle", "--coupling-chi=-2"): 3}
+    entered = {argv: start("-c", _EXIT_REPORT, *argv) for argv in codes}
+    profiled = start("-m", "cProfile", "-m", "twinprobe.cli", "fmin")
+    for argv, proc in entered.items():
+        out, err = proc.communicate()
+        assert proc.returncode == codes[argv], err
+        assert err.splitlines()[-1] == "frozen at exit: True"
+        assert ("f_min = " in out) == (argv == ("fmin",))
+    out, err = profiled.communicate()
+    assert profiled.returncode == 0, err
+    # the profiler prints its stats after the entry has raised SystemExit
+    assert "f_min = " in out and "function calls" in out
+
+
 def test_bare_import_loads_no_numpy(tmp_path):
     out = _python(
         "import sys, twinprobe; "
