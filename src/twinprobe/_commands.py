@@ -139,7 +139,7 @@ def merge_config(args, environ) -> RunConfig:
 
 def _resolve_n_th(cfg: RunConfig) -> float:
     if cfg.temperature is not None:
-        from .dynamics import occupation_from_temperature
+        from .probes import occupation_from_temperature
 
         return occupation_from_temperature(
             cfg.temperature, cfg.omega, hbar_over_kb=cfg.hbar_over_kb
@@ -174,7 +174,7 @@ def _parse_ratio_list(cfg: RunConfig) -> tuple[float, ...]:
 
 def _probe_params(cfg: RunConfig) -> ProbeParams:
     """Resolve the entangler parametrization; exactly one route is allowed."""
-    from .dynamics import ProbeParams
+    from .probes import ProbeParams
 
     n_th = _resolve_n_th(cfg)
     routes = [
@@ -253,9 +253,12 @@ def _write_gnuplot(path: str, csv_path: str, spec: SweepSpec) -> None:
 
 
 def cmd_entangle(cfg: RunConfig) -> bool:
-    from .dynamics import prepare
+    from .probes import relative_mode_frequency
 
     p = _probe_params(cfg)
+    relative_mode_frequency(p)  # refuses an unstable mode before numpy loads
+    from .dynamics import prepare
+
     out = prepare(p)
     if cfg.full_model:  # before any output, so a refused full model prints nothing
         from .oracle import full_model_deviation
@@ -371,8 +374,7 @@ def cmd_verify(cfg: RunConfig) -> bool:
 
 
 def cmd_budget(cfg: RunConfig) -> bool:
-    from .dynamics import ProbeParams
-    from .metrology import decoherence_budget
+    from .probes import ProbeParams, decoherence_budget
 
     p = ProbeParams(
         omega=cfg.omega, n_th=_resolve_n_th(cfg), gamma_mech=cfg.gamma_mech

@@ -23,9 +23,12 @@ only the built-in ``gc`` and standard library modules that argparse loads
 anyway.  ``--help`` and a usage error compile nothing more.  Once argparse
 accepts a command, ``main`` imports ``_commands``, which merges the
 configuration and holds the command bodies, and each command imports the
-numerical layers it uses when it runs.  So ``dump-config`` and a rejected
-configuration load no numpy, and no command loads ``dataclasses``.  Unless
-numpy is loaded already, ``main`` sets OPENBLAS_NUM_THREADS to 1 where the
+numerical layers it uses when it runs.  So ``dump-config``, a rejected
+configuration, ``budget`` at a given ``--phi``, and an ``entangle`` whose
+parameters are refused or whose relative mode is unstable load no numpy:
+they need at most ``probes``, which computes with ``math``.  Every other
+command loads numpy, and no command loads ``dataclasses``.  Unless numpy is
+loaded already, ``main`` sets OPENBLAS_NUM_THREADS to 1 where the
 environment does not set it.
 """
 from __future__ import annotations

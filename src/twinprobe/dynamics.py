@@ -7,6 +7,8 @@ normal-mode frequencies plays the role of a two-mode squeeze parameter.
 Switching the coupling off after a quarter period of the fast mode
 leaves the probes in a symmetric two-mode squeezed thermal state whose
 covariance is diagonal in the (q1 -/+ q2, p1 -/+ p2) combinations.
+The stage's inputs, ``ProbeParams``, and the relative mode's frequency
+live in ``probes``, which needs no numpy.
 """
 from __future__ import annotations
 
@@ -17,72 +19,17 @@ import numpy as np
 
 from ._common import DomainError, check_domain, finite
 from .gaussian import VACUUM_VARIANCE, _read_only
+from .probes import ProbeParams, relative_mode_frequency
 
 __all__ = [
-    "ProbeParams",
     "EntanglerOutput",
-    "relative_mode_frequency",
     "transfer_matrix",
     "thermal_covariance",
-    "occupation_from_temperature",
     "entangled_covariance",
     "mode_rotation",
     "rotate",
     "prepare",
 ]
-
-
-class ProbeParams(namedtuple("ProbeParams", "omega coupling delta n_th gamma_mech")):
-    """Physical inputs of the entangling stage.
-
-    omega       mechanical frequency of both probes
-    coupling    composite coupling (2 g |beta|)^2 / delta of the
-                eliminated cavity, for single-photon coupling g, steady
-                cavity amplitude beta and detuning delta
-    delta       cavity detuning, nonzero and of the coupling's sign; it
-                matters only when the cavity is kept (full model)
-    n_th        thermal occupation of each probe before the coupling
-    gamma_mech  mechanical damping rate, used only for the decoherence
-                time budget
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, omega, coupling=0.0, delta=None, n_th=0.0, gamma_mech=0.0):
-        check_domain(("omega", omega), ("n_th", n_th), ("gamma_mech", gamma_mech))
-        if delta is not None:
-            if delta == 0:
-                raise ValueError("delta must be nonzero")
-            if coupling * delta < 0:
-                raise ValueError("coupling and delta must have the same sign")
-        return super().__new__(cls, omega, coupling, delta, n_th, gamma_mech)
-
-    @classmethod
-    def _make(cls, values) -> "ProbeParams":  # through __new__, so that _replace checks too
-        return cls(*values)
-
-    @classmethod
-    def from_squeeze_ratio(
-        cls,
-        omega: float,
-        ratio: float,
-        *,
-        delta: float | None = None,
-        n_th: float = 0.0,
-        gamma_mech: float = 0.0,
-    ) -> "ProbeParams":
-        """Build params whose normal-mode frequency ratio equals ``ratio`` (>= 1)."""
-        check_domain(("squeeze ratio", ratio))
-        return cls(omega, omega * (ratio**2 - 1.0) / 2.0, delta, n_th, gamma_mech)
-
-
-def relative_mode_frequency(p: ProbeParams) -> float:
-    """Frequency of the relative normal mode under the cavity-mediated spring."""
-    stiffness = p.omega + 2.0 * p.coupling
-    if not stiffness > 0:
-        raise DomainError(f"relative mode unstable: omega + 2*coupling = {stiffness}")
-    # two roots, not the root of a product that can underflow to 0
-    return math.sqrt(p.omega) * math.sqrt(stiffness)
 
 
 def transfer_matrix(p: ProbeParams, t: float) -> np.ndarray:
@@ -115,25 +62,6 @@ def thermal_covariance(n_th: float) -> np.ndarray:
     """Uncorrelated thermal covariance of the two probes, (1/2 + n_th) I."""
     check_domain(("n_th", n_th))
     return _read_only((VACUUM_VARIANCE + n_th) * np.eye(4))
-
-
-def occupation_from_temperature(
-    temperature: float, omega: float, hbar_over_kb: float = 1.0
-) -> float:
-    """Effective thermal occupation (coth(h omega / 2 k T) + 1) / 2.
-
-    Note this convention tends to 1, not 0, as temperature -> 0; the rest
-    of the package treats n_th as a free input, so callers who prefer the
-    Bose occupation can pass that instead.
-    """
-    check_domain(("temperature", temperature), ("omega", omega), ("hbar_over_kb", hbar_over_kb))
-    if temperature == 0:
-        return 1.0
-    # halved last, so a huge temperature cannot overflow 2 T; x underflows to 0
-    # where k T / hbar omega is beyond the float range
-    x = hbar_over_kb * omega / temperature / 2.0
-    half_coth = 0.5 / math.tanh(x) if x else math.inf
-    return finite("thermal occupation", half_coth + 0.5)
 
 
 def entangled_covariance(ratio: float, n_th: float) -> np.ndarray:

@@ -14,17 +14,15 @@ bookkeeping kept for cross-checking.  They coincide at tau_scaled =
 """
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 
 import numpy as np
 
-from ._common import SIGNAL_CONSISTENT, SIGNAL_PRINTED, DomainError, finite
+from ._common import SIGNAL_CONSISTENT, SIGNAL_PRINTED, DomainError
 from ._common import check_domain, check_variant
 
 __all__ = [
     "MeterParams",
-    "DecoherenceBudget",
     "signal_coeff",
     "noise",
     "phi_opt",
@@ -32,7 +30,6 @@ __all__ = [
     "f_min_from",
     "sql",
     "t_minus_sin",
-    "decoherence_budget",
 ]
 
 
@@ -152,36 +149,3 @@ def sql(m: MeterParams):
     the result has the shape of kappa and tau_scaled alone.
     """
     return f_min(m._replace(phi=0.0), 1.0, 0.0)
-
-
-DecoherenceBudget = namedtuple(
-    "DecoherenceBudget", "budget rotation_time force_time time_used feasible"
-)
-DecoherenceBudget.__doc__ = """Coherence-time bookkeeping of one rotation-plus-readout run.
-
-``budget`` is 1 / (gamma_mech * n_th) (infinite when either factor
-vanishes); ``time_used`` is the free-evolution time implementing the
-rotation plus the force integration time, both in physical units.
-"""
-
-
-def decoherence_budget(p, phi: float, tau: float) -> DecoherenceBudget:
-    """Check rotation + readout against the thermal decoherence time.
-
-    The rotation is implemented by free evolution, so a negative angle
-    costs the complementary positive one: the smallest nonnegative
-    equivalent of phi is charged.  ``tau`` is the physical force time.  A
-    time beyond the float range raises DomainError naming it.
-    """
-    check_domain(("tau", tau))
-    rotation_time = finite("rotation time", float(phi % (2.0 * math.pi)) / p.omega)
-    time_used = finite("time used", rotation_time + finite("force time", tau))
-    rate = p.gamma_mech * p.n_th
-    budget = math.inf if rate == 0.0 else 1.0 / rate
-    return DecoherenceBudget(
-        budget=budget,
-        rotation_time=rotation_time,
-        force_time=tau,
-        time_used=time_used,
-        feasible=time_used < budget,
-    )

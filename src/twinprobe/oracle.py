@@ -36,15 +36,14 @@ import numpy as np
 
 from ._common import SIGNAL_PRINTED, DomainError, check_domain
 from .dynamics import (
-    ProbeParams,
     entangled_covariance,
     mode_rotation,
     prepare,
-    relative_mode_frequency,
     thermal_covariance,
     transfer_matrix,
 )
 from .gaussian import VACUUM_VARIANCE, _read_only, direct_sum, vacuum
+from .probes import ProbeParams, relative_mode_frequency
 
 __all__ = [
     "MAX_STEPS",

@@ -13,10 +13,8 @@ import time
 import numpy as np
 
 from twinprobe.dynamics import (
-    ProbeParams,
     entangled_covariance,
     prepare,
-    relative_mode_frequency,
     thermal_covariance,
     transfer_matrix,
 )
@@ -29,6 +27,7 @@ from twinprobe.oracle import (
     integrate_moments,
     verify_closed_forms,
 )
+from twinprobe.probes import ProbeParams, relative_mode_frequency
 from twinprobe.sweep import fig1_spec, fig2_spec, fmin_curve, optimal_kappa
 
 PI = math.pi

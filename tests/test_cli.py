@@ -681,9 +681,9 @@ def bound_edges(key):
 )
 @given(
     command=st.sampled_from(["fig1", "fig2", "entangle"]),
-    key=st.sampled_from(BOUNDED),
-    edge=st.sampled_from([0, 1, 2]),
-    in_file=st.booleans(),
+    keys=st.lists(st.sampled_from(BOUNDED), min_size=2, max_size=2, unique=True),
+    edges=st.tuples(st.sampled_from([0, 1, 2]), st.sampled_from([0, 1, 2])),
+    in_file=st.tuples(st.booleans(), st.booleans()),
     points=st.sampled_from([3, 4]),
     include_sql=st.booleans(),
     step=st.sampled_from([None, 1e-9, 0.01, 1.0]),
@@ -692,24 +692,28 @@ def bound_edges(key):
     gnuplot=st.sampled_from([None, None, "p.gp", "a.csv", "run.cfg"]),
 )
 def test_sweep_and_full_model_exit_0_2_or_3_at_each_bound(
-    launch_cli, tmp_path, command, key, edge, in_file, points, include_sql, step, delta, out,
+    launch_cli, tmp_path, command, keys, edges, in_file, points, include_sql, step, delta, out,
     gnuplot,
 ):
-    # one bounded setting at, just inside or just outside its declared bound,
-    # as a flag or from the config file; the other settings stay ordinary
+    # two bounded settings at once, each at, just inside or just outside its
+    # declared bound, as a flag or from the config file; the others stay ordinary
     for path in tmp_path.iterdir():  # the files of the previous example
         path.unlink()
-    value = bound_edges(key)[edge]
-    if key == "r" and command != "entangle":
-        key, value = "r_list", f"{value!r},2"  # a sweep reads its ratios from --r-list
-    values = {"points": points, "include_sql": str(include_sql).lower(), key: value}
+    drawn = {}
+    for key, edge in zip(keys, edges):
+        value = bound_edges(key)[edge]
+        if key == "r" and command != "entangle":
+            key, value = "r_list", f"{value!r},2"  # a sweep reads its ratios from --r-list
+        drawn[key] = value
+    values = {"points": points, "include_sql": str(include_sql).lower(), **drawn}
     args = [command, "--config", "run.cfg"]
     if command == "entangle":
-        args += ["--full-model", f"--delta={delta!r}"] + (["--r=2"] if key != "r" else [])
+        args += ["--full-model", f"--delta={delta!r}"] + (["--r=2"] if "r" not in drawn else [])
         args += [f"--step={step!r}"] if step is not None else []
     args += [f"--{name}={path}" for name, path in (("out", out), ("gnuplot", gnuplot)) if path]
-    if not in_file:
-        args.append(f"--{key.replace('_', '-')}={values.pop(key)}")
+    for key, from_file in zip(drawn, in_file):
+        if not from_file:
+            args.append(f"--{key.replace('_', '-')}={values.pop(key)}")
     config = "".join(f"{name} = {text}\n" for name, text in values.items())
     (tmp_path / "run.cfg").write_text(config)
     started = time.perf_counter()
@@ -730,7 +734,7 @@ def test_sweep_and_full_model_exit_0_2_or_3_at_each_bound(
     # the CSV is neither the config file nor overwritten by the gnuplot script
     lines = (tmp_path / (out or f"{command}.csv")).read_text().splitlines()
     assert lines[0] == "axis,r,phi_opt,signal,noise,f_min,f_sql"
-    assert len(lines) == 1 + (value if key == "points" else points) * (2 if key == "r_list" else 3)
+    assert len(lines) == 1 + drawn.get("points", points) * (2 if "r_list" in drawn else 3)
     for line in lines[1:]:
         fields = [float(field) for field in line.split(",")]
         assert all(map(math.isfinite, fields if include_sql else fields[:-1])), line

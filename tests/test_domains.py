@@ -6,15 +6,11 @@ import numpy as np
 import pytest
 
 from twinprobe._common import DOMAINS, SIGNAL_VARIANTS
-from twinprobe.dynamics import (
-    ProbeParams,
-    entangled_covariance,
-    occupation_from_temperature,
-    thermal_covariance,
-)
+from twinprobe.dynamics import entangled_covariance, thermal_covariance
 from twinprobe.gaussian import vacuum
-from twinprobe.metrology import MeterParams, decoherence_budget, noise, phi_opt
+from twinprobe.metrology import MeterParams, noise, phi_opt
 from twinprobe.oracle import propagator
+from twinprobe.probes import ProbeParams, decoherence_budget, occupation_from_temperature
 from twinprobe.sweep import SweepSpec, fig1_spec, fmin_curve, optimal_kappa
 
 NAN = math.nan
@@ -56,6 +52,19 @@ NAN_CALLS = [
 def test_nan_fails_every_domain_check(quantity, call):
     refusal = f"{quantity} must be {DOMAINS[quantity][2]}, got "
     with pytest.raises(ValueError, match=f"(?s)^{re.escape(refusal)}.*nan"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("coupling", lambda: ProbeParams(1.0, NAN)),
+        ("delta", lambda: ProbeParams(1.0, 1.0, NAN)),
+    ],
+)
+def test_probe_params_refuse_a_nan_coupling_or_delta(name, call):
+    # in the configuration merge's words; nan would pass every sign check
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got nan$"):
         call()
 
 

@@ -8,18 +8,16 @@ from hypothesis import strategies as st
 from conftest import mp_expm, symplectic_form
 from twinprobe._common import DomainError
 from twinprobe.dynamics import (
-    ProbeParams,
     entangled_covariance,
     mode_rotation,
-    occupation_from_temperature,
     prepare,
-    relative_mode_frequency,
     rotate,
     thermal_covariance,
     transfer_matrix,
 )
 from twinprobe.gaussian import validate
 from twinprobe.oracle import build_entangler_system
+from twinprobe.probes import ProbeParams, occupation_from_temperature, relative_mode_frequency
 
 
 def test_param_validation():

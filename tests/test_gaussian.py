@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import symplectic_form
-from twinprobe.dynamics import (
-    ProbeParams,
-    entangled_covariance,
-    prepare,
-    rotate,
-    thermal_covariance,
-)
+from twinprobe.dynamics import entangled_covariance, prepare, rotate, thermal_covariance
 from twinprobe.gaussian import direct_sum, vacuum, validate
 from twinprobe.oracle import build_entangler_system, integrate_moments
+from twinprobe.probes import ProbeParams
 
 
 def random_symplectic(rng, n_modes):

@@ -21,6 +21,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 # the layers whose ``__all__`` the bench tracer wraps, one home per public name
 LAYERS = ("gaussian", "dynamics", "metrology", "oracle", "sweep", "cli")
+# every module that is the home of a public name
+HOMES = ("_common", "probes", *LAYERS)
 
 _REPORT_MODULES = """
 import contextlib, io, json, sys
@@ -58,6 +60,11 @@ def _modules_after_main(argv, cwd):
         (["--help"], 0),
         (["dump-config"], 0),
         (["dump-config", "--config", "typo.cfg"], 2),
+        # the answers and refusals that need no array
+        (["budget", "--phi", "0.3"], 0),
+        (["entangle", "--coupling-chi=-2"], 3),
+        (["entangle", "--r", "2", "--coupling-chi", "1"], 2),
+        (["budget", "--phi", "0", "--temperature=-1"], 2),
     ],
 )
 def test_front_end_loads_no_numpy(tmp_path, argv, code):
@@ -84,6 +91,8 @@ def test_closed_form_commands_skip_the_oracle(tmp_path, argv):
     assert code == 0
     assert "numpy" in modules
     assert not {"twinprobe.oracle", "dataclasses"} & modules
+    # only entangle and budget read the probes' parameters
+    assert ("twinprobe.probes" in modules) == (argv[0] in ("entangle", "budget"))
 
 
 @pytest.mark.parametrize(
@@ -230,7 +239,7 @@ def test_bare_import_loads_no_numpy(tmp_path):
     assert out.strip() == "[]"
 
 
-@pytest.mark.parametrize("layer", LAYERS)
+@pytest.mark.parametrize("layer", HOMES)
 def test_all_names_exist_in_their_home_module(layer):
     module = importlib.import_module(f"twinprobe.{layer}")
     for name in module.__all__:
@@ -239,7 +248,7 @@ def test_all_names_exist_in_their_home_module(layer):
 
 def test_each_public_name_has_one_home():
     homes = {}
-    for layer in ("_common", *LAYERS):
+    for layer in HOMES:
         for name in importlib.import_module(f"twinprobe.{layer}").__all__:
             homes.setdefault(name, []).append(layer)
     assert {name: where for name, where in homes.items() if len(where) > 1} == {}

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from twinprobe._common import SIGNAL_CONSISTENT, SIGNAL_PRINTED, SIGNAL_VARIANTS, DomainError
 from twinprobe.metrology import (
     MeterParams,
-    decoherence_budget,
     f_min,
     noise,
     phi_opt,
@@ -17,7 +16,7 @@ from twinprobe.metrology import (
     sql,
     t_minus_sin,
 )
-from twinprobe.dynamics import ProbeParams
+from twinprobe.probes import ProbeParams, decoherence_budget
 from twinprobe.sweep import SweepSpec, optimal_kappa
 
 PI = math.pi

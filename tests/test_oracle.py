@@ -12,10 +12,8 @@ from conftest import mp_expm, symplectic_form
 from twinprobe import oracle
 from twinprobe._common import DomainError
 from twinprobe.dynamics import (
-    ProbeParams,
     entangled_covariance,
     prepare,
-    relative_mode_frequency,
     rotate,
     thermal_covariance,
     transfer_matrix,
@@ -31,6 +29,7 @@ from twinprobe.oracle import (
     propagator,
     verify_closed_forms,
 )
+from twinprobe.probes import ProbeParams, relative_mode_frequency
 from twinprobe.sweep import fmin_columns
 
 PI = math.pi
