@@ -253,10 +253,10 @@ def _write_gnuplot(path: str, csv_path: str, spec: SweepSpec) -> None:
 
 
 def cmd_entangle(cfg: RunConfig) -> bool:
-    from .probes import relative_mode_frequency
+    from .probes import squeeze_ratio
 
     p = _probe_params(cfg)
-    relative_mode_frequency(p)  # refuses an unstable mode before numpy loads
+    squeeze_ratio(p)  # refuses an unstable or softened mode before numpy loads
     from .dynamics import prepare
 
     out = prepare(p)

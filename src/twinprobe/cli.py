@@ -17,19 +17,21 @@ configuration error, 3 physics domain error (unstable regime, vanishing
 signal, diverged integration), 4 closed-form verification failure.
 
 Every process enters through ``run``: the ``twinprobe`` script, ``python -m
-twinprobe`` and ``python -m twinprobe.cli``.  Each compiles this module and
-``_common`` (``python -m twinprobe`` its ``__main__`` as well), which import
-only the built-in ``gc`` and standard library modules that argparse loads
-anyway.  ``--help`` and a usage error compile nothing more.  Once argparse
-accepts a command, ``main`` imports ``_commands``, which merges the
-configuration and holds the command bodies, and each command imports the
-numerical layers it uses when it runs.  So ``dump-config``, a rejected
-configuration, ``budget`` at a given ``--phi``, and an ``entangle`` whose
-parameters are refused or whose relative mode is unstable load no numpy:
-they need at most ``probes``, which computes with ``math``.  Every other
-command loads numpy, and no command loads ``dataclasses``.  Unless numpy is
-loaded already, ``main`` sets OPENBLAS_NUM_THREADS to 1 where the
-environment does not set it.
+twinprobe`` and ``python -m twinprobe.cli``.  Each compiles this module
+(``python -m twinprobe`` its ``__main__`` as well), which imports only the
+built-in ``gc`` and standard library modules that argparse loads anyway.
+``--help`` and a usage error compile nothing more: ``_common``, with the
+settings table, loads only for the subcommand whose flags are registered,
+and only that subcommand gets its own ``-h``.  Once argparse accepts a
+command, ``main`` imports ``_commands``, which merges the configuration and
+holds the command bodies, and each command imports the numerical layers it
+uses when it runs.  So ``dump-config``, a rejected configuration, ``budget``
+at a given ``--phi``, and an ``entangle`` whose parameters are refused or
+whose relative mode is unstable or softened load no numpy: they need at
+most ``probes``, which computes with ``math``.  Every other command loads
+numpy, and no command loads ``dataclasses``.  Unless numpy is loaded
+already, ``main`` sets OPENBLAS_NUM_THREADS to 1 where the environment does
+not set it.
 """
 from __future__ import annotations
 
@@ -38,8 +40,6 @@ import gc
 import os
 import sys
 
-from ._common import _SETTINGS, DomainError, RunConfig, _parse_bool
-
 __all__ = ["RunConfig", "build_parser", "main", "run"]
 
 EXIT_OK = 0
@@ -47,6 +47,15 @@ EXIT_CLOSED_STDOUT = 1
 EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
+
+
+def __getattr__(name: str):
+    """``RunConfig``, from ``_common``, which ``--help`` and a usage error never load."""
+    if name == "RunConfig":
+        from ._common import RunConfig
+
+        return RunConfig
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def build_config(args: argparse.Namespace, environ=None) -> RunConfig:
@@ -62,6 +71,8 @@ def build_config(args: argparse.Namespace, environ=None) -> RunConfig:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    from ._common import _SETTINGS, _parse_bool
+
     group = parser.add_argument_group("configuration")
     group.add_argument("--config", help="flat key = value config file")
     for name, _, parse, help_text in _SETTINGS:
@@ -88,12 +99,13 @@ _COMMANDS = [
 def build_parser(command: str | None = None, alone: bool = False) -> argparse.ArgumentParser:
     """The command line parser.
 
-    Only ``command`` gets the configuration flags, or every subcommand when
-    ``command`` is None.  With ``alone``, a ``command`` that names a
-    subcommand is the only one registered: the caller has seen it as the
-    first word, so no text that lists the subcommands can be printed.
-    Otherwise every subcommand is registered, so that the top-level help
-    and the invalid-choice message name all of them.
+    Only ``command`` gets the configuration flags and its own ``-h``, or
+    every subcommand when ``command`` is None: argparse can run no other.
+    With ``alone``, a ``command`` that names a subcommand is the only one
+    registered: the caller has seen it as the first word, so no text that
+    lists the subcommands can be printed.  Otherwise every subcommand is
+    registered, so that the top-level help and the invalid-choice message
+    name all of them.
     """
     parser = argparse.ArgumentParser(
         prog="twinprobe",
@@ -102,8 +114,9 @@ def build_parser(command: str | None = None, alone: bool = False) -> argparse.Ar
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     chosen = [row for row in _COMMANDS if alone and row[0] == command]
     for name, help_text in chosen or _COMMANDS:
-        p = sub.add_parser(name, help=help_text)
-        if command is None or name == command:
+        runs = command is None or name == command
+        p = sub.add_parser(name, help=help_text, add_help=runs)
+        if runs:
             _add_config_flags(p)
     return parser
 
@@ -137,6 +150,7 @@ def main(argv=None) -> int:
         _flushed()  # --help exits 0 whether or not stdout's reader stayed
         raise
     from . import _commands
+    from ._common import DomainError
 
     try:
         cfg = build_config(args)

@@ -7,8 +7,8 @@ normal-mode frequencies plays the role of a two-mode squeeze parameter.
 Switching the coupling off after a quarter period of the fast mode
 leaves the probes in a symmetric two-mode squeezed thermal state whose
 covariance is diagonal in the (q1 -/+ q2, p1 -/+ p2) combinations.
-The stage's inputs, ``ProbeParams``, and the relative mode's frequency
-live in ``probes``, which needs no numpy.
+The stage's inputs, ``ProbeParams``, the relative mode's frequency and the
+squeeze ratio live in ``probes``, which needs no numpy.
 """
 from __future__ import annotations
 
@@ -17,9 +17,10 @@ from collections import namedtuple
 
 import numpy as np
 
-from ._common import DomainError, check_domain, finite
+from ._common import check_domain, finite
 from .gaussian import VACUUM_VARIANCE, _read_only
 from .probes import ProbeParams, relative_mode_frequency
+from .probes import squeeze_ratio as _squeeze_ratio  # dynamics.squeeze_ratio is a removed name
 
 __all__ = [
     "EntanglerOutput",
@@ -134,13 +135,7 @@ def prepare(p: ProbeParams) -> EntanglerOutput:
     A reported quantity beyond the float range raises DomainError naming it.
     """
     theta = relative_mode_frequency(p)
-    ratio = finite("squeeze ratio", theta / p.omega)  # also catches an infinite theta
-    if ratio < 1.0:
-        raise DomainError(
-            f"coupling must not soften the relative mode: ratio {ratio} < 1"
-        )
-    # squared below, where a float power would raise OverflowError instead
-    finite("squeeze ratio squared", ratio * ratio)
+    ratio = _squeeze_ratio(p)
     heat = 1.0 + 2.0 * p.n_th
     rel_q = finite("relative q variance", heat / ratio**2)
     tot_p = finite("total p variance", heat)

@@ -4,7 +4,8 @@
 mode's frequency, the thermal occupation at a temperature and the
 coherence-time budget of a run follow from it with ``math`` alone.  This
 module imports no numpy, so ``budget`` at a given ``--phi`` and every
-refusal of ``entangle``'s parameters finish without loading it.
+refusal of ``entangle``'s parameters or of its relative mode finish without
+loading it.
 ``dynamics`` and ``metrology`` hold the closed forms that take arrays.
 """
 from __future__ import annotations
@@ -18,6 +19,7 @@ __all__ = [
     "ProbeParams",
     "DecoherenceBudget",
     "relative_mode_frequency",
+    "squeeze_ratio",
     "occupation_from_temperature",
     "decoherence_budget",
 ]
@@ -69,8 +71,13 @@ class ProbeParams(namedtuple("ProbeParams", "omega coupling delta n_th gamma_mec
         n_th: float = 0.0,
         gamma_mech: float = 0.0,
     ) -> "ProbeParams":
-        """Build params whose normal-mode frequency ratio equals ``ratio`` (>= 1)."""
+        """Build params whose normal-mode frequency ratio equals ``ratio`` (>= 1).
+
+        A ratio whose square is beyond the float range raises DomainError.
+        """
         check_domain(("squeeze ratio", ratio))
+        # squared below, where a float power would raise OverflowError instead
+        finite("squeeze ratio squared", ratio * ratio)
         return cls(omega, omega * (ratio**2 - 1.0) / 2.0, delta, n_th, gamma_mech)
 
 
@@ -81,6 +88,21 @@ def relative_mode_frequency(p: ProbeParams) -> float:
         raise DomainError(f"relative mode unstable: omega + 2*coupling = {stiffness}")
     # two roots, not the root of a product that can underflow to 0
     return math.sqrt(p.omega) * math.sqrt(stiffness)
+
+
+def squeeze_ratio(p: ProbeParams) -> float:
+    """The ratio of the relative to the bare mode frequency, the entangler's squeeze.
+
+    DomainError where the relative mode is unstable or softened (ratio
+    below 1), or where the ratio or its square is beyond the float range.
+    """
+    theta = relative_mode_frequency(p)
+    ratio = finite("squeeze ratio", theta / p.omega)  # also catches an infinite theta
+    if ratio < 1.0:
+        raise DomainError(f"coupling must not soften the relative mode: ratio {ratio} < 1")
+    # squared by the callers, where a float power would raise OverflowError instead
+    finite("squeeze ratio squared", ratio * ratio)
+    return ratio
 
 
 def occupation_from_temperature(

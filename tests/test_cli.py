@@ -1421,3 +1421,15 @@ def test_main_registers_only_a_first_word_command(launch_cli, monkeypatch):
         launch_cli(*argv)
     every = [name for name, *_ in cli._COMMANDS]
     assert registered == [["dump-config"], every, every, every]
+
+
+def test_only_a_command_that_can_run_gets_its_own_help():
+    def helped(parser):
+        action = next(a for a in parser._actions if a.dest == "command")
+        return [name for name, sub in action.choices.items() if sub.add_help]
+
+    # with no command named, every subcommand can run, as bench/layers.py parses
+    assert helped(cli.build_parser()) == [name for name, *_ in cli._COMMANDS]
+    assert helped(cli.build_parser("fmin")) == helped(cli.build_parser("fmin", alone=True))
+    assert helped(cli.build_parser("fmin")) == ["fmin"]
+    assert helped(cli.build_parser("fmn")) == helped(cli.build_parser("")) == []

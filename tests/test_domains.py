@@ -1,11 +1,12 @@
 """Each quantity's domain, as ``twinprobe._common.DOMAINS`` declares it, at every entry point."""
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
 
-from twinprobe._common import DOMAINS, SIGNAL_VARIANTS
+from twinprobe._common import DOMAINS, SIGNAL_VARIANTS, DomainError
 from twinprobe.dynamics import entangled_covariance, thermal_covariance
 from twinprobe.gaussian import vacuum
 from twinprobe.metrology import MeterParams, noise, phi_opt
@@ -66,6 +67,17 @@ def test_probe_params_refuse_a_nan_coupling_or_delta(name, call):
     # in the configuration merge's words; nan would pass every sign check
     with pytest.raises(ValueError, match=f"^{name} must be finite, got nan$"):
         call()
+
+
+ROOT_MAX = math.sqrt(sys.float_info.max)  # the largest float whose square is a float
+
+
+@pytest.mark.parametrize("ratio", [1e200, math.nextafter(ROOT_MAX, math.inf)])
+def test_squeeze_ratio_whose_square_overflows_is_domain_error(ratio):
+    # named as prepare names it, not float's bare OverflowError
+    with pytest.raises(DomainError, match=r"^squeeze ratio squared is beyond the float range"):
+        ProbeParams.from_squeeze_ratio(1.0, ratio)
+    assert ProbeParams.from_squeeze_ratio(1.0, ROOT_MAX).coupling < math.inf
 
 
 @pytest.mark.parametrize(

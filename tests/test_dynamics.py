@@ -17,7 +17,12 @@ from twinprobe.dynamics import (
 )
 from twinprobe.gaussian import validate
 from twinprobe.oracle import build_entangler_system
-from twinprobe.probes import ProbeParams, occupation_from_temperature, relative_mode_frequency
+from twinprobe.probes import (
+    ProbeParams,
+    occupation_from_temperature,
+    relative_mode_frequency,
+    squeeze_ratio,
+)
 
 
 def test_param_validation():
@@ -48,6 +53,7 @@ def test_squeeze_ratio_roundtrip():
     for ratio in (1.0, math.sqrt(2.0), 2.0, 10.0):
         p = ProbeParams.from_squeeze_ratio(1.0, ratio)
         assert relative_mode_frequency(p) / p.omega == pytest.approx(ratio, rel=1e-12)
+        assert squeeze_ratio(p) == prepare(p).ratio == pytest.approx(ratio, rel=1e-12)
     # omega + 2*coupling = ratio**2 exactly here, so theta carries no rounding
     assert relative_mode_frequency(ProbeParams.from_squeeze_ratio(1.0, 1e3)) == 1e3
 
@@ -58,6 +64,22 @@ def test_unstable_regime_raises():
         relative_mode_frequency(ProbeParams(omega=1.0, coupling=-0.9, delta=-1.0))
     with pytest.raises(DomainError, match=r"omega \+ 2\*coupling = 0\.0$"):
         relative_mode_frequency(ProbeParams(omega=1.0, coupling=-0.5, delta=-1.0))
+
+
+@pytest.mark.parametrize(
+    "p, message",
+    [
+        (ProbeParams(1.0, -0.1, -1.0), r"^coupling must not soften the relative mode: ratio 0\.89"),
+        (ProbeParams(1.0, -0.5, -1.0), r"^relative mode unstable"),
+        (ProbeParams(1.0, math.inf), r"^squeeze ratio is beyond the float range"),
+        (ProbeParams(1e-10, 1e300), r"^squeeze ratio squared is beyond the float range"),
+    ],
+)
+def test_squeeze_ratio_refuses_what_prepare_refuses(p, message):
+    # the command line calls squeeze_ratio alone, so a refusal loads no numpy
+    for call in (squeeze_ratio, prepare):
+        with pytest.raises(DomainError, match=message):
+            call(p)
 
 
 def test_transfer_identity_at_zero():

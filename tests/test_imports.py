@@ -65,6 +65,8 @@ def _modules_after_main(argv, cwd):
         (["entangle", "--coupling-chi=-2"], 3),
         (["entangle", "--r", "2", "--coupling-chi", "1"], 2),
         (["budget", "--phi", "0", "--temperature=-1"], 2),
+        (["entangle", "--coupling-chi=-0.1"], 3),
+        (["entangle", "--g-opt", "1e200", "--beta-abs", "1e200", "--delta", "1"], 3),
     ],
 )
 def test_front_end_loads_no_numpy(tmp_path, argv, code):
@@ -185,10 +187,28 @@ def test_module_entry_point_runs_the_front_end_once(tmp_path, argv, code):
     # run as __main__, the front end would compile and run again if imported
     assert "twinprobe.cli" not in imported
     if argv in (["--help"], ["fmn"]):
-        assert {m for m in imported if m.startswith("twinprobe")} == {
-            "twinprobe",
-            "twinprobe._common",
-        }
+        # nor _common: the settings table loads only for a command that can run
+        assert {m for m in imported if m.startswith("twinprobe")} == {"twinprobe"}
+
+
+_REPORT_EXPORTS = """
+import json, sys
+from twinprobe import cli
+loaded_first = "twinprobe._common" in sys.modules
+from twinprobe.cli import RunConfig
+from twinprobe import _common
+print(json.dumps({
+    "loaded_first": loaded_first,
+    "same": RunConfig is cli.RunConfig is _common.RunConfig,
+    "missing": [name for name in cli.__all__ if not hasattr(cli, name)],
+}))
+"""
+
+
+def test_cli_exports_resolve_in_a_fresh_process(tmp_path):
+    # importing cli loads no settings table, yet every name it exports resolves
+    report = json.loads(_python(_REPORT_EXPORTS, cwd=tmp_path))
+    assert report == {"loaded_first": False, "same": True, "missing": []}
 
 
 def test_package_entry_point_prints_the_same_help(tmp_path):
